@@ -12,7 +12,9 @@ Selection (`cmov`) is arithmetic masking; nothing here branches on data.
 from typing import Tuple
 
 from . import mp_arith
-from .mp_arith import P, add_mod, mul256, red512, sqr256, sub_mod, subp
+from .mp_arith import P, fold19, mul256, red512, sqr256, sub_mod, subp
+# add and sub are the mp_arith kernels themselves, with no wrapper frame.
+from .mp_arith import add_mod as add, sub_mod as sub
 
 FieldElem = bytes
 
@@ -26,14 +28,6 @@ def setzero() -> FieldElem:
 
 def setone() -> FieldElem:
     return _ONE
-
-
-def add(a: FieldElem, b: FieldElem) -> FieldElem:
-    return add_mod(a, b)
-
-
-def sub(a: FieldElem, b: FieldElem) -> FieldElem:
-    return sub_mod(a, b)
 
 
 def neg(a: FieldElem) -> FieldElem:
@@ -60,15 +54,7 @@ def mul121666(a: FieldElem) -> FieldElem:
         out[i] = v & 255
         c = v >> 8
     # fold bits 255+ (value < 2^273, so the fold constant stays small)
-    vtop = (c << 1) | (out[31] >> 7)
-    out[31] &= 0x7F
-    c = 19 * vtop
-    for i in range(32):
-        v = out[i] + c
-        out[i] = v & 255
-        c = v >> 8
-    assert c == 0
-    return bytes(out)
+    return fold19(out, c)
 
 
 def cmov(a: FieldElem, b: FieldElem, c: int) -> FieldElem:

@@ -11,7 +11,7 @@ iteration, and the fixed top bit means the very first step never doubles
 the point at infinity.
 """
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from . import fe25519
 from .fe25519 import FieldElem, add, cmov, freeze, invert, mul, mul121666, pack, square, sub, unpack
@@ -20,9 +20,6 @@ Ratio = Tuple[FieldElem, FieldElem]
 
 # Affine x = 9, the standard base point, as a 32-byte string.
 BASE_POINT_U = (9).to_bytes(32, "little")
-
-# When tests assign a list here, mladder appends each iteration's swap bit.
-_SWAP_TRACE: Optional[List[int]] = None
 
 
 def clamp(s: bytes) -> int:
@@ -101,8 +98,6 @@ def mladder(n: int, xp: FieldElem) -> Ratio:
             bit = (n >> (8 * i + j)) & 1
             swap = bit ^ prev
             prev = bit
-            if _SWAP_TRACE is not None:
-                _SWAP_TRACE.append(swap)
             r0, r1 = cswap(r0, r1, swap)
             r0, r1 = ladderstep(xp, r0, r1)
             j -= 1

@@ -6,19 +6,21 @@ has to do real carry and borrow propagation at byte boundaries, which is
 where the interesting bugs live, and it keeps the structure in one-to-one
 correspondence with unrolled 8-bit machine code.
 
-Multiplication is two levels of subtractive Karatsuba (256 -> 128 -> 64
-bits) over a 32x32->64-bit schoolbook base; squaring uses the dedicated
-identity
-
-    A^2 = (2^w + 1) * (2^w * Ah^2 + Al^2) - 2^w * (Al - Ah)^2
-
-at the 256- and 128-bit levels (w = 128, 64), where the squared difference
-only needs |Al - Ah|, never a sign.  Reduction mod p = 2^255 - 19 folds the
-high half in as 38 (2^256 ≡ 38 mod p) and the remaining top bits as 19, and
-guarantees a result below 2p so one conditional subtraction canonicalizes.
+Multiplication sums columns: every byte product a[i]*b[j] is added into
+column i+j, and one carry pass then turns the 63
+column sums into 64 limbs.  Squaring uses the same columns but computes each
+cross product a[i]*a[j] (i < j) once and doubles it.  The paper's AVR code
+uses subtractive Karatsuba instead; it saves byte multiplies, which is what
+costs time on AVR, but in CPython its sub-products, absolute differences and
+recombination cost more in list building and calls than the multiplies it
+saves, so the flat loops are both shorter and faster here.  Reduction mod
+p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod p) and the
+remaining top bits as 19 (`fold19`, shared with add_mod, sub_mod and
+fe25519.mul121666), and guarantees a result below 2p so one conditional
+subtraction canonicalizes.
 
 Control flow never depends on limb values: loops have fixed trip counts and
-sign/borrow handling is done with arithmetic masks.  (CPython integers are
+carries and borrows are arithmetic, never branches.  (CPython integers are
 not physically constant-time; the discipline here is structural.)
 """
 
@@ -43,273 +45,47 @@ def value(x: Sequence[int]) -> int:
     return int.from_bytes(bytes(x), "little")
 
 
-def _mul32(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    """32x32->64-bit schoolbook product, column by column."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    t = a0 * b0
-    r0 = t & 255
-    t = (t >> 8) + a0 * b1 + a1 * b0
-    r1 = t & 255
-    t = (t >> 8) + a0 * b2 + a1 * b1 + a2 * b0
-    r2 = t & 255
-    t = (t >> 8) + a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
-    r3 = t & 255
-    t = (t >> 8) + a1 * b3 + a2 * b2 + a3 * b1
-    r4 = t & 255
-    t = (t >> 8) + a2 * b3 + a3 * b2
-    r5 = t & 255
-    t = (t >> 8) + a3 * b3
-    return (r0, r1, r2, r3, r4, r5, t & 255, t >> 8)
-
-
-def _mul64(a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    """64x64->128-bit subtractive Karatsuba over _mul32, fully unrolled.
-
-    This is the innermost multi-limb routine (27 calls under one mul256),
-    so it is written straight-line like the machine code it mirrors.
-    """
-    a0, a1, a2, a3, a4, a5, a6, a7 = a
-    b0, b1, b2, b3, b4, b5, b6, b7 = b
-
-    # |al - ah| with sign, branch-free (conditional two's complement).
-    t = a0 - a4
-    d0 = t & 255
-    t = a1 - a5 - ((t >> 8) & 1)
-    d1 = t & 255
-    t = a2 - a6 - ((t >> 8) & 1)
-    d2 = t & 255
-    t = a3 - a7 - ((t >> 8) & 1)
-    d3 = t & 255
-    sa = (t >> 8) & 1
-    m = -sa & 255
-    t = (d0 ^ m) + sa
-    d0 = t & 255
-    t = (d1 ^ m) + (t >> 8)
-    d1 = t & 255
-    t = (d2 ^ m) + (t >> 8)
-    d2 = t & 255
-    d3 = ((d3 ^ m) + (t >> 8)) & 255
-
-    # |bl - bh| with sign.
-    t = b0 - b4
-    e0 = t & 255
-    t = b1 - b5 - ((t >> 8) & 1)
-    e1 = t & 255
-    t = b2 - b6 - ((t >> 8) & 1)
-    e2 = t & 255
-    t = b3 - b7 - ((t >> 8) & 1)
-    e3 = t & 255
-    sb = (t >> 8) & 1
-    m = -sb & 255
-    t = (e0 ^ m) + sb
-    e0 = t & 255
-    t = (e1 ^ m) + (t >> 8)
-    e1 = t & 255
-    t = (e2 ^ m) + (t >> 8)
-    e2 = t & 255
-    e3 = ((e3 ^ m) + (t >> 8)) & 255
-
-    l0, l1, l2, l3, l4, l5, l6, l7 = _mul32((a0, a1, a2, a3), (b0, b1, b2, b3))
-    h0, h1, h2, h3, h4, h5, h6, h7 = _mul32((a4, a5, a6, a7), (b4, b5, b6, b7))
-    m0, m1, m2, m3, m4, m5, m6, m7 = _mul32((d0, d1, d2, d3), (e0, e1, e2, e3))
-
-    # Middle term lo + hi - (al-ah)(bl-bh).  When the signs agree the
-    # product is |..|*|..| and must be subtracted (two's complement, so
-    # XOR with the mask and seed the carry with 1); otherwise added.
-    neg = (sa ^ sb) ^ 1
-    mask = -neg & 255
-    t = l0 + h0 + (m0 ^ mask) + neg
-    f0 = t & 255
-    t = l1 + h1 + (m1 ^ mask) + (t >> 8)
-    f1 = t & 255
-    t = l2 + h2 + (m2 ^ mask) + (t >> 8)
-    f2 = t & 255
-    t = l3 + h3 + (m3 ^ mask) + (t >> 8)
-    f3 = t & 255
-    t = l4 + h4 + (m4 ^ mask) + (t >> 8)
-    f4 = t & 255
-    t = l5 + h5 + (m5 ^ mask) + (t >> 8)
-    f5 = t & 255
-    t = l6 + h6 + (m6 ^ mask) + (t >> 8)
-    f6 = t & 255
-    t = l7 + h7 + (m7 ^ mask) + (t >> 8)
-    f7 = t & 255
-    top = (t >> 8) - neg
-
-    # out = lo + (middle << 32) + (hi << 64)
-    t = l4 + f0
-    r4 = t & 255
-    t = l5 + f1 + (t >> 8)
-    r5 = t & 255
-    t = l6 + f2 + (t >> 8)
-    r6 = t & 255
-    t = l7 + f3 + (t >> 8)
-    r7 = t & 255
-    t = h0 + f4 + (t >> 8)
-    r8 = t & 255
-    t = h1 + f5 + (t >> 8)
-    r9 = t & 255
-    t = h2 + f6 + (t >> 8)
-    r10 = t & 255
-    t = h3 + f7 + (t >> 8)
-    r11 = t & 255
-    t = h4 + top + (t >> 8)
-    r12 = t & 255
-    t = h5 + (t >> 8)
-    r13 = t & 255
-    t = h6 + (t >> 8)
-    r14 = t & 255
-    return (l0, l1, l2, l3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14,
-            (h7 + (t >> 8)) & 255)
-
-
-def _abs_diff(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], int]:
-    """(|a - b| limbwise, sign) with sign = 1 iff a < b.
-
-    The conditional negation is a masked two's complement so the trace does
-    not depend on the sign.
-    """
-    d = []
-    push = d.append
-    borrow = 0
-    for x, y in zip(a, b):
-        t = x - y - borrow
-        push(t & 255)
-        borrow = (t >> 8) & 1
-    mask = -borrow & 255
+def _carry(r: List[int]) -> bytes:
+    """64 byte limbs from 63 column sums, carried once from the bottom up."""
     out = []
     push = out.append
-    carry = borrow
-    for x in d:
-        t = (x ^ mask) + carry
-        push(t & 255)
-        carry = t >> 8
-    return out, borrow
-
-
-def _karatsuba(a, b, half_mul, h: int) -> List[int]:
-    """One subtractive-Karatsuba node over 2h-limb inputs.
-
-    out = lo + 2^(8h) * (lo + hi - (al-ah)(bl-bh)) + 2^(16h) * hi
-    """
-    al, ah = a[:h], a[h:]
-    bl, bh = b[:h], b[h:]
-    lo = half_mul(al, bl)
-    hi = half_mul(ah, bh)
-    da, sa = _abs_diff(al, ah)
-    db, sb = _abs_diff(bl, bh)
-    mid = half_mul(da, db)
-
-    neg = (sa ^ sb) ^ 1
-    mask = -neg & 255
-    m2 = []
-    push = m2.append
-    c = neg
-    for x, y, z in zip(lo, hi, mid):
-        t = x + y + (z ^ mask) + c
-        push(t & 255)
-        c = t >> 8
-    top = c - neg
-
-    out = list(lo) + list(hi)
     c = 0
-    i = h
-    for v in m2:
-        t = out[i] + v + c
-        out[i] = t & 255
-        c = t >> 8
-        i += 1
-    c += top
-    n4 = 4 * h
-    while i < n4:
-        t = out[i] + c
-        out[i] = t & 255
-        c = t >> 8
-        i += 1
-    assert c == 0, "karatsuba recombination overflow"
-    return out
-
-
-def _mul128(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    return _karatsuba(a, b, _mul64, 8)
-
-
-def _mul256(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    return _karatsuba(a, b, _mul128, 16)
+    for v in r:
+        c += v
+        push(c & 255)
+        c >>= 8
+    push(c)
+    return bytes(out)
 
 
 def mul256(a: bytes, b: bytes) -> bytes:
     """256x256->512-bit product of packed little-endian limbs."""
     _check(a, 32, "mul256 operand")
     _check(b, 32, "mul256 operand")
-    out = _mul256(a, b)
+    r = [0] * 63
+    for i, x in enumerate(a):
+        k = i
+        for y in b:
+            r[k] += x * y
+            k += 1
+    out = _carry(r)
     if faults.ACTIVE:
-        out = faults.corrupt("mul256", out)
-    return bytes(out)
-
-
-def _sqr_node(a, half_sqr, h: int) -> List[int]:
-    """Squaring via (2^w+1)(2^w*Ah^2 + Al^2) - 2^w*(Al-Ah)^2, w = 8h bits.
-
-    Only |Al - Ah| is needed since the difference is squared; the sign from
-    _abs_diff is discarded.
-    """
-    al, ah = a[:h], a[h:]
-    lo = half_sqr(al)
-    hi = half_sqr(ah)
-    d, _ = _abs_diff(al, ah)
-    dd = half_sqr(d)
-
-    # t = 2^w * Ah^2 + Al^2  (3h limbs plus a top bit)
-    t = list(lo) + [0] * h
-    c = 0
-    i = h
-    for v in hi:
-        s = t[i] + v + c
-        t[i] = s & 255
-        c = s >> 8
-        i += 1
-    t_top = c
-
-    # u = t - (Al-Ah)^2, never negative; fits in 3h limbs exactly.
-    u = list(t)
-    bw = 0
-    for i in range(2 * h):
-        s = u[i] - dd[i] - bw
-        u[i] = s & 255
-        bw = (s >> 8) & 1
-    for i in range(2 * h, 3 * h):
-        s = u[i] - bw
-        u[i] = s & 255
-        bw = (s >> 8) & 1
-    assert t_top - bw == 0, "squaring cross term exceeded its bound"
-
-    # out = 2^w * u + t
-    out = t + [t_top] + [0] * (h - 1)
-    c = 0
-    i = h
-    for v in u:
-        s = out[i] + v + c
-        out[i] = s & 255
-        c = s >> 8
-        i += 1
-    assert c == 0, "squaring recombination overflow"
+        out = bytes(faults.corrupt("mul256", out))
     return out
 
 
-def _sqr64(a: Sequence[int]) -> Tuple[int, ...]:
-    return _mul64(a, a)
-
-
-def _sqr128(a: Sequence[int]) -> List[int]:
-    return _sqr_node(a, _sqr64, 8)
-
-
 def sqr256(a: bytes) -> bytes:
-    """256-bit squaring; same value as mul256(a, a), dedicated data flow."""
+    """256-bit squaring; same value as mul256(a, a), each cross product once."""
     _check(a, 32, "sqr256 operand")
-    return bytes(_sqr_node(a, _sqr128, 16))
+    r = [0] * 63
+    for i, x in enumerate(a):
+        r[2 * i] += x * x
+        x += x
+        k = 2 * i + 1
+        for y in a[i + 1:]:
+            r[k] += x * y
+            k += 1
+    return _carry(r)
 
 
 def subp(a: bytes) -> Tuple[bytes, int]:
@@ -324,6 +100,22 @@ def subp(a: bytes) -> Tuple[bytes, int]:
     return bytes(out), borrow
 
 
+def fold19(x: List[int], top: int) -> bytes:
+    """x + 2^256 * top with bits 255 and up folded back in as 19 (2^255 ≡ 19).
+
+    x is 32 limbs and is overwritten.  The result is congruent mod p and
+    below 2^255 + 19 * (2 * top + 1), which must fit in 32 limbs.
+    """
+    c = 19 * ((top << 1) | (x[31] >> 7))
+    x[31] &= 0x7F
+    for i in range(32):
+        t = x[i] + c
+        x[i] = t & 255
+        c = t >> 8
+    assert c == 0, "fold overflow"
+    return bytes(x)
+
+
 def red512(m: bytes) -> bytes:
     """Reduce a 512-bit value mod p into [0, 2p).
 
@@ -333,27 +125,17 @@ def red512(m: bytes) -> bytes:
     subtraction of p canonicalizes it later.
     """
     _check(m, 64, "red512 operand")
-    # t = lo + 38*hi, at most 39 * 2^256: 33 limbs.
-    t = [0] * 33
+    # t = lo + 38*hi, at most 39 * 2^256: 32 limbs and a carry below 39.
+    t = [0] * 32
     c = 0
     for i in range(32):
         v = m[i] + 38 * m[32 + i] + c
         t[i] = v & 255
         c = v >> 8
-    t[32] = c
-    # fold t >> 255 back in as 19
-    vtop = (t[32] << 1) | (t[31] >> 7)
-    out = t[:32]
-    out[31] &= 0x7F
-    c = 19 * vtop
-    for i in range(32):
-        v = out[i] + c
-        out[i] = v & 255
-        c = v >> 8
-    assert c == 0, "reduction fold overflow"
+    out = fold19(t, c)
     if faults.ACTIVE:
-        out = faults.corrupt("red512", out)
-    return bytes(out)
+        out = bytes(faults.corrupt("red512", out))
+    return out
 
 
 def add_mod(a: bytes, b: bytes) -> bytes:
@@ -366,15 +148,7 @@ def add_mod(a: bytes, b: bytes) -> bytes:
         t = a[i] + b[i] + c
         s[i] = t & 255
         c = t >> 8
-    vtop = (c << 1) | (s[31] >> 7)
-    s[31] &= 0x7F
-    c = 19 * vtop
-    for i in range(32):
-        t = s[i] + c
-        s[i] = t & 255
-        c = t >> 8
-    assert c == 0
-    return bytes(s)
+    return fold19(s, c)
 
 
 def sub_mod(a: bytes, b: bytes) -> bytes:
@@ -385,26 +159,16 @@ def sub_mod(a: bytes, b: bytes) -> bytes:
     """
     _check(a, 32, "sub_mod operand")
     _check(b, 32, "sub_mod operand")
-    d = [0] * 33
+    d = [0] * 32
     borrow = 0
     for i in range(32):
         t = _FOURP_LIMBS[i] - b[i] - borrow
         d[i] = t & 255
         borrow = (t >> 8) & 1
-    d[32] = _FOURP_LIMBS[32] - borrow
+    top = _FOURP_LIMBS[32] - borrow
     c = 0
     for i in range(32):
         t = d[i] + a[i] + c
         d[i] = t & 255
         c = t >> 8
-    d[32] += c
-    vtop = (d[32] << 1) | (d[31] >> 7)
-    out = d[:32]
-    out[31] &= 0x7F
-    c = 19 * vtop
-    for i in range(32):
-        t = out[i] + c
-        out[i] = t & 255
-        c = t >> 8
-    assert c == 0
-    return bytes(out)
+    return fold19(d, top + c)

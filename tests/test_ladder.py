@@ -130,26 +130,31 @@ def test_mladder_requires_bit_254():
         mladder(2**255, le(9))
 
 
-def test_mladder_runs_255_fixed_iterations():
+def record_swaps(monkeypatch):
+    """Swap bits of every cswap that mladder makes, in call order."""
     trace = []
-    ladder._SWAP_TRACE = trace
-    try:
-        mladder(2**254, le(9))
-    finally:
-        ladder._SWAP_TRACE = None
+
+    def recording_cswap(r0, r1, swap):
+        trace.append(swap)
+        return cswap(r0, r1, swap)
+
+    monkeypatch.setattr(ladder, "cswap", recording_cswap)
+    return trace
+
+
+def test_mladder_runs_255_fixed_iterations(monkeypatch):
+    trace = record_swaps(monkeypatch)
+    mladder(2**254, le(9))
     assert len(trace) == 255
 
 
-def test_mladder_swap_count_equals_bit_transitions():
+def test_mladder_swap_count_equals_bit_transitions(monkeypatch):
     rng = random.Random(25)
+    trace = record_swaps(monkeypatch)
     for _ in range(10):
         n = clamp(le(rng.randrange(2**256)))
-        trace = []
-        ladder._SWAP_TRACE = trace
-        try:
-            mladder(n, le(9))
-        finally:
-            ladder._SWAP_TRACE = None
+        trace.clear()
+        mladder(n, le(9))
         bits = [(n >> i) & 1 for i in range(254, -1, -1)]
         transitions = sum(a != b for a, b in zip([0] + bits, bits))
         assert sum(trace) == transitions
