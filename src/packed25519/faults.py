@@ -13,7 +13,7 @@ import os
 from contextlib import contextmanager
 from typing import FrozenSet, Iterator, List
 
-KNOWN = frozenset({"mul256", "red512"})
+KNOWN = frozenset({"mul256", "red512", "sqr256"})
 
 
 def _from_env() -> FrozenSet[str]:

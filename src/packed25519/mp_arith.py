@@ -6,17 +6,34 @@ has to do real carry and borrow propagation at byte boundaries, which is
 where the interesting bugs live, and it keeps the structure in one-to-one
 correspondence with unrolled 8-bit machine code.
 
-Multiplication sums columns: every byte product a[i]*b[j] is added into
-column i+j, and one carry pass then turns the 63
-column sums into 64 limbs.  Squaring uses the same columns but computes each
-cross product a[i]*a[j] (i < j) once and doubles it.  The paper's AVR code
-uses subtractive Karatsuba instead; it saves byte multiplies, which is what
-costs time on AVR, but in CPython its sub-products, absolute differences and
-recombination cost more in list building and calls than the multiplies it
-saves, so the flat loops are both shorter and faster here.  Reduction mod
-p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod p) and the
-remaining top bits as 19 (`fold19`, shared with add_mod, sub_mod and
-fe25519.mul121666), and guarantees a result below 2p so one conditional
+Multiplication is product scanning (Comba) in a 2x2 grid of 16-limb
+blocks.  Split a = a0 + 2^128 a1 and b likewise; the straight-line kernel
+`mul16` gives the 31 column sums of one block product (column k holds every
+a[i]*b[j] with i + j = k), so a0*b0, a0*b1 + a1*b0 and a1*b1 are three
+31-column tuples at columns 0, 16 and 32.  `join` carries them once from the
+bottom up into 64 limbs.  Squaring uses `sqr16`, which writes each cross
+product a[i]*a[j] (i < j) once and doubles it, for a0^2 and a1^2, and twice
+mul16(a0, a1) for the middle.  The kernels live in `_kernels`, emitted by
+tools/gen_kernels.py.
+
+The blocks are 16 limbs, not one flat 32x32 kernel, because of compile
+memory: no bytecode cache is written where PYTHONDONTWRITEBYTECODE is set,
+so every process parses this source, and the parser's transient peak grows
+with the number of products written out.  Flat 32x32 multiply and square
+kernels write 1024 + 528 products; the grid writes 256 + 136 and calls
+them more often.  The flat pair ran a scalarmult about 10% faster but
+raised a process's peak RSS by 1.4 to 1.7 MB (7 to 8%) and its start-up
+time by about 10%; the grid leaves both within noise.
+
+The paper's AVR code splits the product with subtractive Karatsuba instead;
+it saves byte multiplies, which is what costs time on AVR, but in CPython
+its sub-products, absolute differences and recombination cost more in list
+building and calls than the multiplies it saves, so plain column sums are
+both shorter and faster here.
+
+Reduction mod p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod
+p) and the remaining top bits as 19 (`fold19`, shared with add_mod, sub_mod
+and fe25519.mul121666), and guarantees a result below 2p so one conditional
 subtraction canonicalizes.
 
 Control flow never depends on limb values: loops have fixed trip counts and
@@ -24,9 +41,11 @@ carries and borrows are arithmetic, never branches.  (CPython integers are
 not physically constant-time; the discipline here is structural.)
 """
 
+from operator import add
 from typing import List, Sequence, Tuple
 
 from . import faults
+from ._kernels import join, mul16, sqr16
 
 P = 2**255 - 19
 P_LIMBS = P.to_bytes(32, "little")
@@ -45,30 +64,12 @@ def value(x: Sequence[int]) -> int:
     return int.from_bytes(bytes(x), "little")
 
 
-def _carry(r: List[int]) -> bytes:
-    """64 byte limbs from 63 column sums, carried once from the bottom up."""
-    out = []
-    push = out.append
-    c = 0
-    for v in r:
-        c += v
-        push(c & 255)
-        c >>= 8
-    push(c)
-    return bytes(out)
-
-
 def mul256(a: bytes, b: bytes) -> bytes:
     """256x256->512-bit product of packed little-endian limbs."""
     _check(a, 32, "mul256 operand")
     _check(b, 32, "mul256 operand")
-    r = [0] * 63
-    for i, x in enumerate(a):
-        k = i
-        for y in b:
-            r[k] += x * y
-            k += 1
-    out = _carry(r)
+    a0, a1, b0, b1 = a[:16], a[16:], b[:16], b[16:]
+    out = join(mul16(a0, b0), map(add, mul16(a0, b1), mul16(a1, b0)), mul16(a1, b1))
     if faults.ACTIVE:
         out = bytes(faults.corrupt("mul256", out))
     return out
@@ -77,15 +78,12 @@ def mul256(a: bytes, b: bytes) -> bytes:
 def sqr256(a: bytes) -> bytes:
     """256-bit squaring; same value as mul256(a, a), each cross product once."""
     _check(a, 32, "sqr256 operand")
-    r = [0] * 63
-    for i, x in enumerate(a):
-        r[2 * i] += x * x
-        x += x
-        k = 2 * i + 1
-        for y in a[i + 1:]:
-            r[k] += x * y
-            k += 1
-    return _carry(r)
+    a0, a1 = a[:16], a[16:]
+    m = mul16(a0, a1)
+    out = join(sqr16(a0), map(add, m, m), sqr16(a1))
+    if faults.ACTIVE:
+        out = bytes(faults.corrupt("sqr256", out))
+    return out
 
 
 def subp(a: bytes) -> Tuple[bytes, int]:
@@ -154,21 +152,16 @@ def add_mod(a: bytes, b: bytes) -> bytes:
 def sub_mod(a: bytes, b: bytes) -> bytes:
     """a - b computed as a + (4p - b), folded like add_mod; result < 2p.
 
-    4p exceeds every 256-bit input, so 4p - b never borrows and the sum
-    stays positive without any sign-dependent control flow.
+    4p exceeds every 256-bit input, so a + 4p - b is positive and needs no
+    sign-dependent control flow.  One pass adds a[i] + 4p[i] - b[i] per limb;
+    the carry is signed (-1, 0 or 1) and `>> 8` floors it.
     """
     _check(a, 32, "sub_mod operand")
     _check(b, 32, "sub_mod operand")
     d = [0] * 32
-    borrow = 0
-    for i in range(32):
-        t = _FOURP_LIMBS[i] - b[i] - borrow
-        d[i] = t & 255
-        borrow = (t >> 8) & 1
-    top = _FOURP_LIMBS[32] - borrow
     c = 0
     for i in range(32):
-        t = d[i] + a[i] + c
+        t = a[i] + _FOURP_LIMBS[i] - b[i] + c
         d[i] = t & 255
         c = t >> 8
-    return fold19(d, top + c)
+    return fold19(d, _FOURP_LIMBS[32] + c)

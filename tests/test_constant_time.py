@@ -6,8 +6,8 @@ in order, nested calls included) are hashed into a digest, and every
 function must produce one digest for all of its inputs.  This checks the
 structural claim of the README, in the spirit of ct-verif; it is not a
 timing measurement, since CPython's integer operations are not
-constant-time.  A whole scalarmult (about 10 M events) is left out: the
-ladder runs `ladderstep` and `cswap` a fixed 255 times.
+constant-time.  One whole scalarmult (about 2.4 M events, 2 s traced) is
+also checked, over a few secrets and u values.
 """
 
 import hashlib
@@ -89,6 +89,19 @@ def test_one_control_flow_trace_per_function(name):
         assert count > 0
         digests.setdefault(digest, args)
     assert len(digests) == 1, f"{name} takes {len(digests)} paths: {list(digests.values())}"
+
+
+def test_one_control_flow_trace_per_scalarmult():
+    # random u, u = 0 and the non-canonical u = p + 1, each with its own secret
+    rng = random.Random(10)
+    us = [le(rng.randrange(2**255)), le(0), le(P + 1)]
+    digests = {}
+    for u in us:
+        k = rng.randbytes(32)
+        digest, count = trace_digest(ladder.scalarmult, k, u)
+        assert count > 0
+        digests.setdefault(digest, (k.hex(), u.hex()))
+    assert len(digests) == 1, f"scalarmult takes {len(digests)} paths: {list(digests.values())}"
 
 
 def test_trace_digest_sees_a_data_dependent_branch():

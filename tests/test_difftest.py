@@ -101,6 +101,16 @@ def test_broken_mul256_is_caught():
     assert report.suites["mp"].counterexample is not None
 
 
+def test_broken_sqr256_is_caught():
+    with faults.inject("sqr256"):
+        report = run_suite(TrialConfig(trials=2, suites=("mp", "fe", "ladderstep")))
+    assert not report.ok
+    for name in ("mp", "fe", "ladderstep"):
+        res = report.suites[name]
+        assert res.failures > 0, f"sqr256 fault went unnoticed in {name}"
+        assert res.counterexample is not None
+
+
 def test_faults_reject_unknown_names():
     with pytest.raises(ValueError):
         with faults.inject("nonsense"):
