@@ -1,7 +1,8 @@
 """Straight-line 16-limb product kernels for mp_arith.mul256 and sqr256.
 
 Generated by tools/gen_kernels.py; do not edit.  Regenerate with
-`python tools/gen_kernels.py`; `--check` tells whether this file is current.
+`python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
+the generator's output byte for byte.
 
 mul16 and sqr16 return the 31 column sums of a 16x16-limb product (column
 k holds every a[i]*b[j] with i + j = k); join carries three such blocks,

@@ -21,9 +21,9 @@ memory: no bytecode cache is written where PYTHONDONTWRITEBYTECODE is set,
 so every process parses this source, and the parser's transient peak grows
 with the number of products written out.  Flat 32x32 multiply and square
 kernels write 1024 + 528 products; the grid writes 256 + 136 and calls
-them more often.  The flat pair ran a scalarmult about 10% faster but
-raised a process's peak RSS by 1.4 to 1.7 MB (7 to 8%) and its start-up
-time by about 10%; the grid leaves both within noise.
+them more often.  A single short scratch run of the flat pair hinted at a
+faster scalarmult but a higher peak RSS and start-up time; those figures
+were not repeated, so they show no more than the direction.
 
 The paper's AVR code splits the product with subtractive Karatsuba instead;
 it saves byte multiplies, which is what costs time on AVR, but in CPython

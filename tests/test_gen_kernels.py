@@ -1,8 +1,6 @@
 """The committed kernel module is exactly what tools/gen_kernels.py emits."""
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,18 +18,3 @@ def test_committed_kernels_match_generator_byte_for_byte():
     gen = _generator()
     assert gen.TARGET.read_bytes() == gen.render().encode("utf-8")
 
-
-def test_check_exits_zero_on_the_committed_module():
-    done = subprocess.run([sys.executable, str(GENERATOR), "--check"],
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-
-
-def test_check_flags_a_stale_module(tmp_path, monkeypatch):
-    gen = _generator()
-    stale = tmp_path / "_kernels.py"
-    stale.write_text(gen.render().replace("a0*b0,", "a0*b0 + 1,", 1), encoding="utf-8")
-    monkeypatch.setattr(gen, "TARGET", stale)
-    assert gen.main(["--check"]) == 1
-    assert gen.main([]) == 0
-    assert gen.main(["--check"]) == 0

@@ -1,7 +1,6 @@
 """Emit src/packed25519/_kernels.py, the straight-line product kernels.
 
-    python tools/gen_kernels.py           # rewrite the module
-    python tools/gen_kernels.py --check   # exit 1 if the committed module differs
+    python tools/gen_kernels.py
 
 The module holds three functions over byte limbs, written out without loops
 so that CPython runs each product as a few bytecodes and nothing else:
@@ -17,8 +16,6 @@ so that CPython runs each product as a few bytecodes and nothing else:
 Only the standard library is used.
 """
 
-import argparse
-import sys
 from pathlib import Path
 
 TARGET = Path(__file__).resolve().parent.parent / "src" / "packed25519" / "_kernels.py"
@@ -30,7 +27,8 @@ HEADER = '''\
 """Straight-line 16-limb product kernels for mp_arith.mul256 and sqr256.
 
 Generated by tools/gen_kernels.py; do not edit.  Regenerate with
-`python tools/gen_kernels.py`; `--check` tells whether this file is current.
+`python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
+the generator's output byte for byte.
 
 mul16 and sqr16 return the 31 column sums of a 16x16-limb product (column
 k holds every a[i]*b[j] with i + j = k); join carries three such blocks,
@@ -90,20 +88,9 @@ def render() -> str:
     return HEADER + "".join("\n\n" + "\n".join(b) + "\n" for b in blocks)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare the committed module with the generator's output")
-    args = parser.parse_args(argv)
-    text = render()
-    if args.check:
-        if not TARGET.exists() or TARGET.read_text(encoding="utf-8") != text:
-            print(f"{TARGET} is stale; run python tools/gen_kernels.py", file=sys.stderr)
-            return 1
-        return 0
-    TARGET.write_text(text, encoding="utf-8")
-    return 0
+def main() -> None:
+    TARGET.write_text(render(), encoding="utf-8")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
