@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import difftest
-from .ladder import BASE_POINT_U, scalarmult
+from .ladder import BASE_POINT_U, iterate, scalarmult
 
 
 def _parse_hex32(text: str, what: str) -> bytes:
@@ -25,20 +25,6 @@ def _parse_hex32(text: str, what: str) -> bytes:
         return bytes.fromhex(t)
     except ValueError:
         raise ValueError(f"{what} is not valid hex: {text!r}") from None
-
-
-def iterate(count: int) -> bytes:
-    """Repeated self-application from the base point: k, u = X25519(k, u), k.
-
-    Starts with k = u = 9; the value of k after `count` rounds is the
-    chain's running output.
-    """
-    if count < 0:
-        raise ValueError("iteration count must be non-negative")
-    k = u = BASE_POINT_U
-    for _ in range(count):
-        k, u = scalarmult(k, u), k
-    return k
 
 
 def _cmd_scalarmult(args: argparse.Namespace) -> int:

@@ -11,9 +11,9 @@ Never enable these outside of harness self-checks.
 
 import os
 from contextlib import contextmanager
-from typing import FrozenSet, Iterator, List
+from typing import FrozenSet, Iterator
 
-KNOWN = frozenset({"mul256", "red512", "sqr256"})
+KNOWN = frozenset({"add_mod", "mul121666", "mul256", "red512", "sqr256", "sub_mod"})
 
 
 def _from_env() -> FrozenSet[str]:
@@ -31,11 +31,10 @@ def _from_env() -> FrozenSet[str]:
 ACTIVE: FrozenSet[str] = _from_env()
 
 
-def corrupt(name: str, limbs: List[int]) -> List[int]:
+def corrupt(name: str, limbs: bytes) -> bytes:
     """Flip the low bit of limb 0 when the named fault is active."""
     if name in ACTIVE:
-        limbs = list(limbs)
-        limbs[0] ^= 1
+        return bytes((limbs[0] ^ 1,)) + limbs[1:]
     return limbs
 
 

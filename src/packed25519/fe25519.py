@@ -11,7 +11,7 @@ Selection (`cmov`) is arithmetic masking; nothing here branches on data.
 
 from typing import Tuple
 
-from . import mp_arith
+from . import faults, mp_arith
 from .mp_arith import P, fold19, mul256, red512, sqr256, sub_mod, subp
 # add and sub are the mp_arith kernels themselves, with no wrapper frame.
 from .mp_arith import add_mod as add, sub_mod as sub
@@ -45,16 +45,12 @@ def square(a: FieldElem) -> FieldElem:
 
 def mul121666(a: FieldElem) -> FieldElem:
     """Multiply by the ladder constant 121666 = (A + 2) / 4; result < 2p."""
-    if len(a) != 32:
-        raise ValueError(f"mul121666 operand must have exactly 32 limbs, got {len(a)}")
-    out = [0] * 32
-    c = 0
-    for i in range(32):
-        v = 121666 * a[i] + c
-        out[i] = v & 255
-        c = v >> 8
-    # fold bits 255+ (value < 2^273, so the fold constant stays small)
-    return fold19(out, c)
+    mp_arith._check(a, 32, "mul121666 operand")
+    # below 2^273, so the carry into the fold stays below 2^17
+    out = fold19([121666 * x for x in a])
+    if faults.ACTIVE:
+        out = faults.corrupt("mul121666", out)
+    return out
 
 
 def cmov(a: FieldElem, b: FieldElem, c: int) -> FieldElem:

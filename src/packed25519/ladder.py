@@ -85,10 +85,11 @@ def mladder(n: int, xp: FieldElem) -> Ratio:
     Callers must clamp first: n even, bit 254 set, bit 255 clear.  An odd n
     is not rejected but leaves the registers un-swapped, so the returned
     ratio is x((n+1)P) rather than x(nP) — the regression tests pin this
-    down.  Bit 254 is asserted because it fixes the iteration count and
+    down.  Bit 254 is checked because it fixes the iteration count and
     keeps the first step from doubling the point at infinity.
     """
-    assert n >> 254 == 1, "mladder requires bit 254 set and bit 255 clear"
+    if n >> 254 != 1:
+        raise ValueError("mladder requires bit 254 set and bit 255 clear")
     r0: Ratio = (fe25519.setone(), fe25519.setzero())
     r1: Ratio = (xp, fe25519.setone())
     prev = 0
@@ -116,3 +117,17 @@ def scalarmult(s: bytes, u: bytes) -> bytes:
     n = clamp(s)
     x, z = mladder(n, xp)
     return pack(freeze(mul(x, invert(z))))
+
+
+def iterate(count: int) -> bytes:
+    """Repeated self-application from the base point: k, u = X25519(k, u), k.
+
+    Starts with k = u = 9; the value of k after `count` rounds is the
+    chain's running output.
+    """
+    if count < 0:
+        raise ValueError("iteration count must be non-negative")
+    k = u = BASE_POINT_U
+    for _ in range(count):
+        k, u = scalarmult(k, u), k
+    return k

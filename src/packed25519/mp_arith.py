@@ -32,17 +32,20 @@ building and calls than the multiplies it saves, so plain column sums are
 both shorter and faster here.
 
 Reduction mod p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod
-p) and the remaining top bits as 19 (`fold19`, shared with add_mod, sub_mod
-and fe25519.mul121666), and guarantees a result below 2p so one conditional
-subtraction canonicalizes.
+p) and the remaining top bits as 19.  `_carry` is the one carry loop outside
+the block kernels; red512, add_mod, sub_mod, subp and fe25519.mul121666 only
+build 32 columns for it.  `fold19(cols, top)` carries them, adds 19 * (2 *
+(top + carry) | bit 255) into limb 0 and carries again, so its result is
+below 2^255 + 19 * (2 * (top + carry) + 1): under 2p for every caller, and
+one conditional subtraction canonicalizes.
 
 Control flow never depends on limb values: loops have fixed trip counts and
 carries and borrows are arithmetic, never branches.  (CPython integers are
 not physically constant-time; the discipline here is structural.)
 """
 
-from operator import add
-from typing import List, Sequence, Tuple
+from operator import add, mul, sub
+from typing import Iterable, List, Sequence, Tuple
 
 from . import faults
 from ._kernels import join, mul16, sqr16
@@ -52,6 +55,7 @@ P_LIMBS = P.to_bytes(32, "little")
 # 4p = 2^257 - 76: one value of the right congruence class that is larger
 # than any 256-bit input, so subtraction never goes negative.
 _FOURP_LIMBS = (4 * P).to_bytes(33, "little")
+_38 = (38,) * 32
 
 
 def _check(x: Sequence[int], n: int, what: str) -> None:
@@ -71,7 +75,7 @@ def mul256(a: bytes, b: bytes) -> bytes:
     a0, a1, b0, b1 = a[:16], a[16:], b[:16], b[16:]
     out = join(mul16(a0, b0), map(add, mul16(a0, b1), mul16(a1, b0)), mul16(a1, b1))
     if faults.ACTIVE:
-        out = bytes(faults.corrupt("mul256", out))
+        out = faults.corrupt("mul256", out)
     return out
 
 
@@ -82,34 +86,41 @@ def sqr256(a: bytes) -> bytes:
     m = mul16(a0, a1)
     out = join(sqr16(a0), map(add, m, m), sqr16(a1))
     if faults.ACTIVE:
-        out = bytes(faults.corrupt("sqr256", out))
+        out = faults.corrupt("sqr256", out)
     return out
+
+
+def _carry(cols: Iterable[int]) -> Tuple[List[int], int]:
+    """(byte limbs, outgoing carry) of integer columns, carried bottom up.
+
+    A column may be negative: `>> 8` floors, so a borrow is a carry of -1.
+    """
+    limbs = []
+    c = 0
+    for t in cols:
+        c += t
+        limbs.append(c & 255)
+        c >>= 8
+    return limbs, c
 
 
 def subp(a: bytes) -> Tuple[bytes, int]:
     """(a - p) mod 2^256 together with the borrow flag (1 iff a < p)."""
     _check(a, 32, "subp operand")
-    out = [0] * 32
-    borrow = 0
-    for i in range(32):
-        t = a[i] - P_LIMBS[i] - borrow
-        out[i] = t & 255
-        borrow = (t >> 8) & 1
-    return bytes(out), borrow
+    d, c = _carry(map(sub, a, P_LIMBS))
+    return bytes(d), -c
 
 
-def fold19(x: List[int], top: int) -> bytes:
-    """x + 2^256 * top with bits 255 and up folded back in as 19 (2^255 ≡ 19).
+def fold19(cols: Iterable[int], top: int = 0) -> bytes:
+    """32 columns + 2^256 * top with bits 255 and up folded back as 19.
 
-    x is 32 limbs and is overwritten.  The result is congruent mod p and
-    below 2^255 + 19 * (2 * top + 1), which must fit in 32 limbs.
+    The result is congruent mod p and below 2^255 + 19 * (2 * (top + carry)
+    + 1), where carry leaves the columns; it must fit in 32 limbs.
     """
-    c = 19 * ((top << 1) | (x[31] >> 7))
+    x, c = _carry(cols)
+    x[0] += 19 * ((top + c) << 1 | x[31] >> 7)
     x[31] &= 0x7F
-    for i in range(32):
-        t = x[i] + c
-        x[i] = t & 255
-        c = t >> 8
+    x, c = _carry(x)
     assert c == 0, "fold overflow"
     return bytes(x)
 
@@ -123,16 +134,10 @@ def red512(m: bytes) -> bytes:
     subtraction of p canonicalizes it later.
     """
     _check(m, 64, "red512 operand")
-    # t = lo + 38*hi, at most 39 * 2^256: 32 limbs and a carry below 39.
-    t = [0] * 32
-    c = 0
-    for i in range(32):
-        v = m[i] + 38 * m[32 + i] + c
-        t[i] = v & 255
-        c = v >> 8
-    out = fold19(t, c)
+    # lo + 38*hi is at most 39 * 2^256: 32 limbs and a carry below 39.
+    out = fold19(map(add, m[:32], map(mul, _38, m[32:])))
     if faults.ACTIVE:
-        out = bytes(faults.corrupt("red512", out))
+        out = faults.corrupt("red512", out)
     return out
 
 
@@ -140,28 +145,22 @@ def add_mod(a: bytes, b: bytes) -> bytes:
     """a + b with bits 255+ of the sum folded back as 19; result < 2p."""
     _check(a, 32, "add_mod operand")
     _check(b, 32, "add_mod operand")
-    s = [0] * 32
-    c = 0
-    for i in range(32):
-        t = a[i] + b[i] + c
-        s[i] = t & 255
-        c = t >> 8
-    return fold19(s, c)
+    out = fold19(map(add, a, b))
+    if faults.ACTIVE:
+        out = faults.corrupt("add_mod", out)
+    return out
 
 
 def sub_mod(a: bytes, b: bytes) -> bytes:
     """a - b computed as a + (4p - b), folded like add_mod; result < 2p.
 
     4p exceeds every 256-bit input, so a + 4p - b is positive and needs no
-    sign-dependent control flow.  One pass adds a[i] + 4p[i] - b[i] per limb;
-    the carry is signed (-1, 0 or 1) and `>> 8` floors it.
+    sign-dependent control flow.  The columns a[i] + 4p[i] - b[i] may be
+    negative; the carry pass floors, and 4p's top limb joins the fold.
     """
     _check(a, 32, "sub_mod operand")
     _check(b, 32, "sub_mod operand")
-    d = [0] * 32
-    c = 0
-    for i in range(32):
-        t = a[i] + _FOURP_LIMBS[i] - b[i] + c
-        d[i] = t & 255
-        c = t >> 8
-    return fold19(d, _FOURP_LIMBS[32] + c)
+    out = fold19(map(sub, map(add, a, _FOURP_LIMBS), b), _FOURP_LIMBS[32])
+    if faults.ACTIVE:
+        out = faults.corrupt("sub_mod", out)
+    return out

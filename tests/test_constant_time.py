@@ -10,6 +10,7 @@ constant-time.  One whole scalarmult (about 2.4 M events, 2 s traced) is
 also checked, over a few secrets and u values.
 """
 
+import gc
 import hashlib
 import random
 import sys
@@ -37,12 +38,19 @@ def trace_digest(fn, *args):
         h.update(f"{event} {frame.f_code.co_name} {frame.f_lineno}\n".encode())
         return tracer
 
+    # A collection inside the call would trace the finalizers it runs, so the
+    # collector is emptied first and held off until the call returns.
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     saved = sys.gettrace()
     sys.settrace(tracer)
     try:
         fn(*args)
     finally:
         sys.settrace(saved)
+        if gc_was_enabled:
+            gc.enable()
     return h.hexdigest(), count
 
 

@@ -111,6 +111,20 @@ def test_broken_sqr256_is_caught():
         assert res.counterexample is not None
 
 
+@pytest.mark.parametrize("fault, suites", [
+    ("add_mod", ("mp", "fe", "ladderstep")),
+    ("sub_mod", ("mp", "fe", "ladderstep")),
+    ("mul121666", ("fe", "ladderstep")),
+])
+def test_broken_linear_kernel_is_caught(fault, suites):
+    with faults.inject(fault):
+        report = run_suite(TrialConfig(trials=2, suites=suites))
+    for name in suites:
+        res = report.suites[name]
+        assert res.failures > 0, f"{fault} fault went unnoticed in {name}"
+        assert res.counterexample is not None
+
+
 def test_faults_reject_unknown_names():
     with pytest.raises(ValueError):
         with faults.inject("nonsense"):

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -124,10 +126,20 @@ def test_mladder_matches_reference_componentwise():
 
 
 def test_mladder_requires_bit_254():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         mladder(12345, le(9))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         mladder(2**255, le(9))
+
+
+def test_mladder_requires_bit_254_under_O():
+    code = ("from packed25519.ladder import mladder\n"
+            "try:\n    mladder(5, bytes(32))\n"
+            "except ValueError:\n    print('rejected')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected\n"
 
 
 def record_swaps(monkeypatch):
