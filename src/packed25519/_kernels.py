@@ -5,8 +5,13 @@ Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 the generator's output byte for byte.
 
 mul16 and sqr16 return the 31 column sums of a 16x16-limb product (column
-k holds every a[i]*b[j] with i + j = k); join carries three such blocks,
-placed at columns 0, 16 and 32, into the 64 limbs of a 512-bit product.
+k holds every a[i]*b[j] with i + j = k).  Their operands are byte limbs or
+sums of two byte limbs, up to 510, so a column sum stays below 2^22.
+join(lo, s, hi) carries three such blocks into the 64 limbs of a 512-bit
+product: lo at column 0, hi at column 32, and at column 16 the one-level
+Karatsuba middle s - lo - hi, where s is the product of the half sums.
+Each column sum is an exact polynomial coefficient, so s[k] - lo[k] - hi[k]
+is never negative and needs no carry of its own.
 """
 
 
@@ -85,9 +90,9 @@ def sqr16(a):
     )
 
 
-def join(lo, mid, hi):
+def join(lo, s, hi):
     l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12, l13, l14, l15, l16, l17, l18, l19, l20, l21, l22, l23, l24, l25, l26, l27, l28, l29, l30 = lo
-    m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15, m16, m17, m18, m19, m20, m21, m22, m23, m24, m25, m26, m27, m28, m29, m30 = mid
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14, s15, s16, s17, s18, s19, s20, s21, s22, s23, s24, s25, s26, s27, s28, s29, s30 = s
     h0, h1, h2, h3, h4, h5, h6, h7, h8, h9, h10, h11, h12, h13, h14, h15, h16, h17, h18, h19, h20, h21, h22, h23, h24, h25, h26, h27, h28, h29, h30 = hi
     c = l0
     r0 = c & 255
@@ -121,67 +126,67 @@ def join(lo, mid, hi):
     r14 = c & 255
     c = (c >> 8) + l15
     r15 = c & 255
-    c = (c >> 8) + l16 + m0
+    c = (c >> 8) + l16 + s0 - l0 - h0
     r16 = c & 255
-    c = (c >> 8) + l17 + m1
+    c = (c >> 8) + l17 + s1 - l1 - h1
     r17 = c & 255
-    c = (c >> 8) + l18 + m2
+    c = (c >> 8) + l18 + s2 - l2 - h2
     r18 = c & 255
-    c = (c >> 8) + l19 + m3
+    c = (c >> 8) + l19 + s3 - l3 - h3
     r19 = c & 255
-    c = (c >> 8) + l20 + m4
+    c = (c >> 8) + l20 + s4 - l4 - h4
     r20 = c & 255
-    c = (c >> 8) + l21 + m5
+    c = (c >> 8) + l21 + s5 - l5 - h5
     r21 = c & 255
-    c = (c >> 8) + l22 + m6
+    c = (c >> 8) + l22 + s6 - l6 - h6
     r22 = c & 255
-    c = (c >> 8) + l23 + m7
+    c = (c >> 8) + l23 + s7 - l7 - h7
     r23 = c & 255
-    c = (c >> 8) + l24 + m8
+    c = (c >> 8) + l24 + s8 - l8 - h8
     r24 = c & 255
-    c = (c >> 8) + l25 + m9
+    c = (c >> 8) + l25 + s9 - l9 - h9
     r25 = c & 255
-    c = (c >> 8) + l26 + m10
+    c = (c >> 8) + l26 + s10 - l10 - h10
     r26 = c & 255
-    c = (c >> 8) + l27 + m11
+    c = (c >> 8) + l27 + s11 - l11 - h11
     r27 = c & 255
-    c = (c >> 8) + l28 + m12
+    c = (c >> 8) + l28 + s12 - l12 - h12
     r28 = c & 255
-    c = (c >> 8) + l29 + m13
+    c = (c >> 8) + l29 + s13 - l13 - h13
     r29 = c & 255
-    c = (c >> 8) + l30 + m14
+    c = (c >> 8) + l30 + s14 - l14 - h14
     r30 = c & 255
-    c = (c >> 8) + m15
+    c = (c >> 8) + s15 - l15 - h15
     r31 = c & 255
-    c = (c >> 8) + m16 + h0
+    c = (c >> 8) + s16 - l16 - h16 + h0
     r32 = c & 255
-    c = (c >> 8) + m17 + h1
+    c = (c >> 8) + s17 - l17 - h17 + h1
     r33 = c & 255
-    c = (c >> 8) + m18 + h2
+    c = (c >> 8) + s18 - l18 - h18 + h2
     r34 = c & 255
-    c = (c >> 8) + m19 + h3
+    c = (c >> 8) + s19 - l19 - h19 + h3
     r35 = c & 255
-    c = (c >> 8) + m20 + h4
+    c = (c >> 8) + s20 - l20 - h20 + h4
     r36 = c & 255
-    c = (c >> 8) + m21 + h5
+    c = (c >> 8) + s21 - l21 - h21 + h5
     r37 = c & 255
-    c = (c >> 8) + m22 + h6
+    c = (c >> 8) + s22 - l22 - h22 + h6
     r38 = c & 255
-    c = (c >> 8) + m23 + h7
+    c = (c >> 8) + s23 - l23 - h23 + h7
     r39 = c & 255
-    c = (c >> 8) + m24 + h8
+    c = (c >> 8) + s24 - l24 - h24 + h8
     r40 = c & 255
-    c = (c >> 8) + m25 + h9
+    c = (c >> 8) + s25 - l25 - h25 + h9
     r41 = c & 255
-    c = (c >> 8) + m26 + h10
+    c = (c >> 8) + s26 - l26 - h26 + h10
     r42 = c & 255
-    c = (c >> 8) + m27 + h11
+    c = (c >> 8) + s27 - l27 - h27 + h11
     r43 = c & 255
-    c = (c >> 8) + m28 + h12
+    c = (c >> 8) + s28 - l28 - h28 + h12
     r44 = c & 255
-    c = (c >> 8) + m29 + h13
+    c = (c >> 8) + s29 - l29 - h29 + h13
     r45 = c & 255
-    c = (c >> 8) + m30 + h14
+    c = (c >> 8) + s30 - l30 - h30 + h14
     r46 = c & 255
     c = (c >> 8) + h15
     r47 = c & 255

@@ -111,8 +111,12 @@ def scalarmult(s: bytes, u: bytes) -> bytes:
 
     The output is the canonical 32-byte encoding of x(n * P); inputs whose
     ladder result is the point at infinity (or the degenerate x = 0 orbit)
-    come out as all zeros, because invert maps 0 to 0.
+    come out as all zeros, because invert maps 0 to 0.  s and u must be
+    bytes or bytearray; anything else raises TypeError.
     """
+    if not isinstance(s, (bytes, bytearray)) or not isinstance(u, (bytes, bytearray)):
+        raise TypeError(f"scalarmult takes bytes or bytearray, got "
+                        f"{type(s).__name__} and {type(u).__name__}")
     xp = unpack(u)
     n = clamp(s)
     x, z = mladder(n, xp)

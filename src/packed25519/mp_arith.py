@@ -6,56 +6,65 @@ has to do real carry and borrow propagation at byte boundaries, which is
 where the interesting bugs live, and it keeps the structure in one-to-one
 correspondence with unrolled 8-bit machine code.
 
-Multiplication is product scanning (Comba) in a 2x2 grid of 16-limb
-blocks.  Split a = a0 + 2^128 a1 and b likewise; the straight-line kernel
-`mul16` gives the 31 column sums of one block product (column k holds every
-a[i]*b[j] with i + j = k), so a0*b0, a0*b1 + a1*b0 and a1*b1 are three
-31-column tuples at columns 0, 16 and 32.  `join` carries them once from the
-bottom up into 64 limbs.  Squaring uses `sqr16`, which writes each cross
-product a[i]*a[j] (i < j) once and doubles it, for a0^2 and a1^2, and twice
-mul16(a0, a1) for the middle.  The kernels live in `_kernels`, emitted by
+Multiplication is product scanning (Comba) over 16-limb blocks with one
+level of additive Karatsuba.  Split a = a0 + 2^128 a1 and b likewise; the
+straight-line kernel `mul16` gives the 31 column sums of one block product
+(column k holds every a[i]*b[j] with i + j = k).  Three of them, a0*b0,
+(a0+a1)*(b0+b1) and a1*b1, go to `join`, which takes the middle block's
+column k as s[k] - lo[k] - hi[k] = (a0*b1 + a1*b0)[k] and carries all
+three, at columns 0, 16 and 32, once from the bottom up into 64 limbs.  The
+half sums are limb sums up to 510, and every column sum is an exact
+polynomial coefficient, so the subtraction is never negative and needs no
+carry or sign mask.  Squaring is the same with `sqr16`, which writes each
+cross product a[i]*a[j] (i < j) once and doubles it: sqr16(a0),
+sqr16(a0+a1) and sqr16(a1).  The kernels live in `_kernels`, emitted by
 tools/gen_kernels.py.
 
 The blocks are 16 limbs, not one flat 32x32 kernel, because of compile
 memory: no bytecode cache is written where PYTHONDONTWRITEBYTECODE is set,
 so every process parses this source, and the parser's transient peak grows
 with the number of products written out.  Flat 32x32 multiply and square
-kernels write 1024 + 528 products; the grid writes 256 + 136 and calls
+kernels write 1024 + 528 products; the blocks write 256 + 136 and call
 them more often.  A single short scratch run of the flat pair hinted at a
 faster scalarmult but a higher peak RSS and start-up time; those figures
 were not repeated, so they show no more than the direction.
 
-The paper's AVR code splits the product with subtractive Karatsuba instead;
-it saves byte multiplies, which is what costs time on AVR, but in CPython
-its sub-products, absolute differences and recombination cost more in list
-building and calls than the multiplies it saves, so plain column sums are
-both shorter and faster here.
+The paper's AVR code uses subtractive Karatsuba, |a0 - a1| * |b0 - b1| with
+a sign mask, which keeps every operand a byte.  Here the operands are
+Python integers, so the additive form needs neither the absolute
+differences nor the sign: one level of it turns four block products into
+three for the cost of two 16-limb sums and a subtraction per middle
+column.  Deeper levels would bring back the lists and calls that the
+paper's recursive tree cost in CPython.
 
 Reduction mod p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod
-p) and the remaining top bits as 19.  `_carry` is the one carry loop outside
-the block kernels; red512, add_mod, sub_mod, subp and fe25519.mul121666 only
-build 32 columns for it.  `fold19(cols, top)` carries them, adds 19 * (2 *
-(top + carry) | bit 255) into limb 0 and carries again, so its result is
-below 2^255 + 19 * (2 * (top + carry) + 1): under 2p for every caller, and
-one conditional subtraction canonicalizes.
+p) and the remaining top bits as 19.  red512 runs the straight-line
+`_reduce.red38`, from the same generator: one carry pass over m[k] +
+38*m[k+32], then the fold by 19 and a second fixed pass.  `_carry` is the
+one carry loop outside the generated kernels; add_mod, sub_mod, subp and
+fe25519.mul121666 only build 32 columns for it.  `fold19(cols, top)`
+carries them, adds 19 * (2 * (top + carry) | bit 255) into limb 0 and
+carries again, so its result is below 2^255 + 19 * (2 * (top + carry) +
+1): under 2p for every caller, and one conditional subtraction
+canonicalizes.
 
 Control flow never depends on limb values: loops have fixed trip counts and
 carries and borrows are arithmetic, never branches.  (CPython integers are
 not physically constant-time; the discipline here is structural.)
 """
 
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Iterable, List, Sequence, Tuple
 
 from . import faults
 from ._kernels import join, mul16, sqr16
+from ._reduce import red38
 
 P = 2**255 - 19
 P_LIMBS = P.to_bytes(32, "little")
 # 4p = 2^257 - 76: one value of the right congruence class that is larger
 # than any 256-bit input, so subtraction never goes negative.
 _FOURP_LIMBS = (4 * P).to_bytes(33, "little")
-_38 = (38,) * 32
 
 
 def _check(x: Sequence[int], n: int, what: str) -> None:
@@ -73,7 +82,7 @@ def mul256(a: bytes, b: bytes) -> bytes:
     _check(a, 32, "mul256 operand")
     _check(b, 32, "mul256 operand")
     a0, a1, b0, b1 = a[:16], a[16:], b[:16], b[16:]
-    out = join(mul16(a0, b0), map(add, mul16(a0, b1), mul16(a1, b0)), mul16(a1, b1))
+    out = join(mul16(a0, b0), mul16(map(add, a0, a1), map(add, b0, b1)), mul16(a1, b1))
     if faults.ACTIVE:
         out = faults.corrupt("mul256", out)
     return out
@@ -83,8 +92,7 @@ def sqr256(a: bytes) -> bytes:
     """256-bit squaring; same value as mul256(a, a), each cross product once."""
     _check(a, 32, "sqr256 operand")
     a0, a1 = a[:16], a[16:]
-    m = mul16(a0, a1)
-    out = join(sqr16(a0), map(add, m, m), sqr16(a1))
+    out = join(sqr16(a0), sqr16(map(add, a0, a1)), sqr16(a1))
     if faults.ACTIVE:
         out = faults.corrupt("sqr256", out)
     return out
@@ -134,8 +142,7 @@ def red512(m: bytes) -> bytes:
     subtraction of p canonicalizes it later.
     """
     _check(m, 64, "red512 operand")
-    # lo + 38*hi is at most 39 * 2^256: 32 limbs and a carry below 39.
-    out = fold19(map(add, m[:32], map(mul, _38, m[32:])))
+    out = red38(m)
     if faults.ACTIVE:
         out = faults.corrupt("red512", out)
     return out

@@ -142,6 +142,25 @@ def test_mladder_requires_bit_254_under_O():
     assert proc.stdout == "rejected\n"
 
 
+def test_scalarmult_takes_only_bytes():
+    s = bytes(range(32))
+    want = scalarmult(s, BASE_POINT_U)
+    assert scalarmult(bytearray(s), bytearray(BASE_POINT_U)) == want
+    for bad in ((list(s), BASE_POINT_U), (s, list(BASE_POINT_U)), (s.hex(), BASE_POINT_U)):
+        with pytest.raises(TypeError):
+            scalarmult(*bad)
+
+
+def test_scalarmult_takes_only_bytes_under_O():
+    code = ("from packed25519.ladder import BASE_POINT_U, scalarmult\n"
+            "try:\n    scalarmult(list(range(32)), BASE_POINT_U)\n"
+            "except TypeError:\n    print('rejected')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected\n"
+
+
 def record_swaps(monkeypatch):
     """Swap bits of every cswap that mladder makes, in call order."""
     trace = []

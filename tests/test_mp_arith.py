@@ -43,6 +43,17 @@ def test_sqr256_matches_mul256_bit_for_bit():
         assert sqr256(a) == mul256(a, a)
 
 
+def test_karatsuba_halves_at_their_edges():
+    # halves of 0, 1, 2^127 and 2^128 - 1: half sums reach limbs of 510, and
+    # the middle block s - lo - hi cancels to 0 in some columns
+    halves = [0, 1, 2**127, 2**128 - 1]
+    xs = [lo + (hi << 128) for lo in halves for hi in halves]
+    for x in xs:
+        assert value(sqr256(le(x))) == x * x
+        for y in xs:
+            assert value(mul256(le(x), le(y))) == x * y
+
+
 def test_mul256_random_against_integers():
     rng = random.Random(0xBEE)
     for _ in range(500):
