@@ -1,11 +1,17 @@
-"""Straight-line reduction for mp_arith.red512.
+"""Straight-line reduction mod p = 2^255 - 19 for the whole field layer.
 
 Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 `python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
 the generator's output byte for byte.
 
-red38 folds the high 32 limbs in as 38 (2^256 = 38 mod p) in one carry
+red38 folds the high 32 columns in as 38 (2^256 = 38 mod p) in one carry
 pass, then bits 255 and up as 19 (2^255 = 19 mod p) in a second fixed pass.
+It is linear in its 64 integer columns, which may be negative or exceed a
+byte: for V = sum (m[k] + 38*m[k+32])*2^(8k) it returns (V mod 2^255) +
+19*(V >> 255) as 32 limbs, and its `fold overflow` assert fires when that
+falls outside [0, 2^256).  mp_arith.red512 calls it on a 512-bit product;
+mp_arith.add_mod, sub_mod and fe25519.mul121666 call it with a zero high
+half.
 """
 
 

@@ -13,7 +13,7 @@ import os
 from contextlib import contextmanager
 from typing import FrozenSet, Iterator
 
-KNOWN = frozenset({"add_mod", "mul121666", "mul256", "red512", "sqr256", "sub_mod"})
+KNOWN = frozenset({"add_mod", "mul121666", "mul256", "red512", "sqr256", "sub_mod", "subp"})
 
 
 def _from_env() -> FrozenSet[str]:

@@ -38,15 +38,16 @@ column.  Deeper levels would bring back the lists and calls that the
 paper's recursive tree cost in CPython.
 
 Reduction mod p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod
-p) and the remaining top bits as 19.  red512 runs the straight-line
-`_reduce.red38`, from the same generator: one carry pass over m[k] +
-38*m[k+32], then the fold by 19 and a second fixed pass.  `_carry` is the
-one carry loop outside the generated kernels; add_mod, sub_mod, subp and
-fe25519.mul121666 only build 32 columns for it.  `fold19(cols, top)`
-carries them, adds 19 * (2 * (top + carry) | bit 255) into limb 0 and
-carries again, so its result is below 2^255 + 19 * (2 * (top + carry) +
-1): under 2p for every caller, and one conditional subtraction
-canonicalizes.
+p) and the remaining top bits as 19.  One routine does it for every caller:
+the straight-line `_reduce.red38`, from the same generator, carries m[k] +
+38*m[k+32] in one pass, folds bits 255 and up as 19 and carries a second
+fixed pass.  It is linear in its 64 integer columns, so red512 hands it the
+product, and add_mod, sub_mod and fe25519.mul121666 hand it their 32 column
+sums with a zero high half.  For the column total V it returns (V mod
+2^255) + 19 * (V >> 255): below 2p for every caller, so one conditional
+subtraction canonicalizes.  The linear kernels call red38 directly, so
+red512 counts only reductions of products.  `subp` keeps the one
+hand-written carry loop.
 
 Control flow never depends on limb values: loops have fixed trip counts and
 carries and borrows are arithmetic, never branches.  (CPython integers are
@@ -54,7 +55,7 @@ not physically constant-time; the discipline here is structural.)
 """
 
 from operator import add, sub
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from . import faults
 from ._kernels import join, mul16, sqr16
@@ -62,9 +63,12 @@ from ._reduce import red38
 
 P = 2**255 - 19
 P_LIMBS = P.to_bytes(32, "little")
-# 4p = 2^257 - 76: one value of the right congruence class that is larger
-# than any 256-bit input, so subtraction never goes negative.
-_FOURP_LIMBS = (4 * P).to_bytes(33, "little")
+# 4p = 2^257 - 76 as 32 integer columns: one value of the right congruence
+# class that is larger than any 256-bit input, so subtraction never goes
+# negative.
+_FOURP_COLS = (180,) + (255,) * 30 + (511,)
+# the high half of red38's columns for a 32-column total
+_ZERO = bytes(32)
 
 
 def _check(x: Sequence[int], n: int, what: str) -> None:
@@ -98,39 +102,22 @@ def sqr256(a: bytes) -> bytes:
     return out
 
 
-def _carry(cols: Iterable[int]) -> Tuple[List[int], int]:
-    """(byte limbs, outgoing carry) of integer columns, carried bottom up.
+def subp(a: bytes) -> Tuple[bytes, int]:
+    """(a - p) mod 2^256 together with the borrow flag (1 iff a < p).
 
     A column may be negative: `>> 8` floors, so a borrow is a carry of -1.
     """
-    limbs = []
-    c = 0
-    for t in cols:
-        c += t
-        limbs.append(c & 255)
-        c >>= 8
-    return limbs, c
-
-
-def subp(a: bytes) -> Tuple[bytes, int]:
-    """(a - p) mod 2^256 together with the borrow flag (1 iff a < p)."""
     _check(a, 32, "subp operand")
-    d, c = _carry(map(sub, a, P_LIMBS))
-    return bytes(d), -c
-
-
-def fold19(cols: Iterable[int], top: int = 0) -> bytes:
-    """32 columns + 2^256 * top with bits 255 and up folded back as 19.
-
-    The result is congruent mod p and below 2^255 + 19 * (2 * (top + carry)
-    + 1), where carry leaves the columns; it must fit in 32 limbs.
-    """
-    x, c = _carry(cols)
-    x[0] += 19 * ((top + c) << 1 | x[31] >> 7)
-    x[31] &= 0x7F
-    x, c = _carry(x)
-    assert c == 0, "fold overflow"
-    return bytes(x)
+    d = []
+    c = 0
+    for t in map(sub, a, P_LIMBS):
+        c += t
+        d.append(c & 255)
+        c >>= 8
+    out = bytes(d)
+    if faults.ACTIVE:
+        out = faults.corrupt("subp", out)
+    return out, -c
 
 
 def red512(m: bytes) -> bytes:
@@ -152,22 +139,22 @@ def add_mod(a: bytes, b: bytes) -> bytes:
     """a + b with bits 255+ of the sum folded back as 19; result < 2p."""
     _check(a, 32, "add_mod operand")
     _check(b, 32, "add_mod operand")
-    out = fold19(map(add, a, b))
+    out = red38((*map(add, a, b), *_ZERO))
     if faults.ACTIVE:
         out = faults.corrupt("add_mod", out)
     return out
 
 
 def sub_mod(a: bytes, b: bytes) -> bytes:
-    """a - b computed as a + (4p - b), folded like add_mod; result < 2p.
+    """a - b computed as a + 4p - b, folded like add_mod; result < 2p.
 
     4p exceeds every 256-bit input, so a + 4p - b is positive and needs no
     sign-dependent control flow.  The columns a[i] + 4p[i] - b[i] may be
-    negative; the carry pass floors, and 4p's top limb joins the fold.
+    negative; red38's carry pass floors.
     """
     _check(a, 32, "sub_mod operand")
     _check(b, 32, "sub_mod operand")
-    out = fold19(map(sub, map(add, a, _FOURP_LIMBS), b), _FOURP_LIMBS[32])
+    out = red38((*map(sub, map(add, a, _FOURP_COLS), b), *_ZERO))
     if faults.ACTIVE:
         out = faults.corrupt("sub_mod", out)
     return out

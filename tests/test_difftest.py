@@ -94,22 +94,18 @@ def test_broken_red512_is_caught_with_counterexample():
     assert "red512" in res.counterexample
 
 
-def test_broken_mul256_is_caught():
-    with faults.inject("mul256"):
-        report = run_suite(TrialConfig(trials=2, suites=("mp",)))
-    assert not report.ok
-    assert report.suites["mp"].counterexample is not None
-
-
 @pytest.mark.parametrize("fault, suites", [
     ("add_mod", ("mp", "fe", "ladderstep")),
     ("sub_mod", ("mp", "fe", "ladderstep")),
     ("mul121666", ("fe", "ladderstep")),
     ("sqr256", ("mp", "fe", "ladderstep")),
+    ("mul256", ("mp", "fe", "ladderstep")),
+    ("subp", ("mp", "fe", "findings")),
 ])
 def test_broken_kernel_is_caught(fault, suites):
     with faults.inject(fault):
         report = run_suite(TrialConfig(trials=2, suites=suites))
+    assert not report.ok
     for name in suites:
         res = report.suites[name]
         assert res.failures > 0, f"{fault} fault went unnoticed in {name}"

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from packed25519 import mp_arith
+from packed25519 import fe25519, mp_arith
+from packed25519._reduce import red38
 from packed25519.mp_arith import P, add_mod, mul256, red512, sqr256, sub_mod, subp, value
 
 TWO_P = 2 * P
@@ -106,6 +107,26 @@ def test_red512_congruence_and_range():
         r = value(red512(le(m, 64)))
         assert r % P == m % P
         assert r < TWO_P
+
+
+def test_red38_column_contract():
+    # red38 is linear in 64 integer columns of any sign: for the total V it
+    # returns (V mod 2^255) + 19 * (V >> 255), which must lie in [0, 2^256)
+    assert value(red38((-1,) + (0,) * 63)) == P - 1
+    with pytest.raises(AssertionError, match="fold overflow"):
+        red38((0,) * 31 + (2**300,) + (0,) * 32)
+    with pytest.raises(AssertionError, match="fold overflow"):
+        red38((5,) + (0,) * 30 + (-128,) + (0,) * 32)  # V = -2^255 + 5
+    # sub_mod's offset columns denote 4p
+    assert sum(c << 8 * k for k, c in enumerate(mp_arith._FOURP_COLS)) == 4 * P
+    # the callers with a zero high half, at the extremes of their totals
+    top = 2**256 - 1
+    for got, want in ((fe25519.mul121666(le(top)), 121666 * top),
+                      (add_mod(le(top), le(top)), 2 * top),
+                      (sub_mod(le(top), le(0)), top),
+                      (sub_mod(le(0), le(top)), -top)):
+        assert value(got) % P == want % P
+        assert value(got) < TWO_P
 
 
 def test_add_mod_range_and_congruence():

@@ -17,11 +17,18 @@ _kernels.py, behind mp_arith.mul256 and sqr256:
                     as s[k] - lo[k] - hi[k], giving the 64 limbs of a
                     512-bit product.
 
-_reduce.py, behind mp_arith.red512:
+_reduce.py, the one reduction of the field layer:
 
-  red38(m)          a 64-limb value reduced mod 2^255 - 19 into 32 limbs:
-                    one carry pass over m[k] + 38*m[k+32], then bits 255
-                    and up folded in as 19 and a second carry pass.
+  red38(m)          64 integer columns reduced mod 2^255 - 19 into 32
+                    limbs: one carry pass over m[k] + 38*m[k+32], then bits
+                    255 and up folded in as 19 and a second carry pass.
+                    For the column total V = sum (m[k] + 38*m[k+32])*2^(8k)
+                    it returns (V mod 2^255) + 19*(V >> 255), and its
+                    `fold overflow` assert fires when that falls outside
+                    [0, 2^256).  Columns may be negative or exceed a byte.
+                    Its callers are mp_arith.red512 (a 512-bit product)
+                    and, with a zero high half, mp_arith.add_mod, sub_mod
+                    and fe25519.mul121666.
 
 red38 lives in a module of its own because the parser's transient peak is
 per module: placed inside _kernels.py it would raise that peak.
@@ -59,14 +66,20 @@ is never negative and needs no carry of its own.
 '''
 
 REDUCE_HEADER = '''\
-"""Straight-line reduction for mp_arith.red512.
+"""Straight-line reduction mod p = 2^255 - 19 for the whole field layer.
 
 Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 `python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
 the generator's output byte for byte.
 
-red38 folds the high 32 limbs in as 38 (2^256 = 38 mod p) in one carry
+red38 folds the high 32 columns in as 38 (2^256 = 38 mod p) in one carry
 pass, then bits 255 and up as 19 (2^255 = 19 mod p) in a second fixed pass.
+It is linear in its 64 integer columns, which may be negative or exceed a
+byte: for V = sum (m[k] + 38*m[k+32])*2^(8k) it returns (V mod 2^255) +
+19*(V >> 255) as 32 limbs, and its `fold overflow` assert fires when that
+falls outside [0, 2^256).  mp_arith.red512 calls it on a 512-bit product;
+mp_arith.add_mod, sub_mod and fe25519.mul121666 call it with a zero high
+half.
 """
 '''
 
