@@ -23,8 +23,8 @@ captured as a hex counterexample string.
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from . import fe25519, ladder, mp_arith, oracle
 
@@ -82,10 +82,19 @@ class TrialConfig:
 
 @dataclass
 class SuiteResult:
+    """A suite's tally: checks run, failures, and the first failure's text."""
+
     name: str
-    cases: int
-    failures: int
-    counterexample: Optional[str]
+    cases: int = 0
+    failures: int = 0
+    counterexample: Optional[str] = None
+
+    def check(self, ok: bool, describe: Callable[[], str]) -> None:
+        self.cases += 1
+        if not ok:
+            self.failures += 1
+            if self.counterexample is None:
+                self.counterexample = describe()
 
 
 @dataclass
@@ -142,24 +151,6 @@ class _Stream:
         return self.u256() + self.u256()
 
 
-class _Tally:
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.failures = 0
-        self.first: Optional[str] = None
-
-    def check(self, ok: bool, describe: Callable[[], str]) -> None:
-        self.cases += 1
-        if not ok:
-            self.failures += 1
-            if self.first is None:
-                self.first = describe()
-
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.cases, self.failures, self.first)
-
-
 def _le(v: int, n: int = 32) -> bytes:
     return v.to_bytes(n, "little")
 
@@ -173,7 +164,7 @@ TWO_P = 2 * P
 
 # ---------------------------------------------------------------- mp suite
 
-def _check_mp_pair(t: _Tally, tag: str, a: bytes, b: bytes, m: bytes) -> None:
+def _check_mp_pair(t: SuiteResult, tag: str, a: bytes, b: bytes, m: bytes) -> None:
     ia, ib = _int(a), _int(b)
     got = mp_arith.mul256(a, b)
     t.check(_int(got) == ia * ib,
@@ -196,7 +187,7 @@ def _check_mp_pair(t: _Tally, tag: str, a: bytes, b: bytes, m: bytes) -> None:
             lambda: f"{tag} sub_mod a={a.hex()} b={b.hex()} got={w.hex()}")
 
 
-def _suite_mp(cfg: TrialConfig, t: _Tally) -> None:
+def _suite_mp(cfg: TrialConfig, t: SuiteResult) -> None:
     corpus = edge_corpus()
     for x in corpus.u256:
         for y in corpus.u256:
@@ -209,7 +200,7 @@ def _suite_mp(cfg: TrialConfig, t: _Tally) -> None:
 
 # ---------------------------------------------------------------- fe suite
 
-def _check_fe_pair(t: _Tally, tag: str, a: bytes, b: bytes) -> None:
+def _check_fe_pair(t: SuiteResult, tag: str, a: bytes, b: bytes) -> None:
     ia, ib = _int(a), _int(b)
 
     def cong(name: str, got: bytes, want: int) -> None:
@@ -236,7 +227,7 @@ def _check_fe_pair(t: _Tally, tag: str, a: bytes, b: bytes) -> None:
             lambda: f"{tag} pack/unpack roundtrip f={f.hex()}")
 
 
-def _suite_fe(cfg: TrialConfig, t: _Tally) -> None:
+def _suite_fe(cfg: TrialConfig, t: SuiteResult) -> None:
     corpus = edge_corpus()
     for x in corpus.u256:
         for y in (0, 1, P - 1, P, 2 * P - 1, 2**256 - 1):
@@ -262,7 +253,7 @@ def _suite_fe(cfg: TrialConfig, t: _Tally) -> None:
 
 # -------------------------------------------------------- ladderstep suite
 
-def _check_ladderstep(t: _Tally, tag: str, xp: bytes, r0: Tuple[bytes, bytes],
+def _check_ladderstep(t: SuiteResult, tag: str, xp: bytes, r0: Tuple[bytes, bytes],
                       r1: Tuple[bytes, bytes]) -> None:
     (gx1, gz1), (gx2, gz2) = ladder.ladderstep(xp, r0, r1)
     o0 = oracle.double(oracle.Ratio(_int(r0[0]), _int(r0[1])))
@@ -287,7 +278,7 @@ _WORKED_LADDERSTEPS = (
 )
 
 
-def _suite_ladderstep(cfg: TrialConfig, t: _Tally) -> None:
+def _suite_ladderstep(cfg: TrialConfig, t: SuiteResult) -> None:
     for xp, r0, r1, want in _WORKED_LADDERSTEPS:
         (gx1, gz1), (gx2, gz2) = ladder.ladderstep(
             _le(xp), (_le(r0[0]), _le(r0[1])), (_le(r1[0]), _le(r1[1])))
@@ -312,7 +303,7 @@ def _suite_ladderstep(cfg: TrialConfig, t: _Tally) -> None:
 
 # ----------------------------------------------------------- mladder suite
 
-def _check_mladder(t: _Tally, tag: str, n: int, xp_int: int) -> None:
+def _check_mladder(t: SuiteResult, tag: str, n: int, xp_int: int) -> None:
     X, Z = ladder.mladder(n, _le(xp_int))
     want, _ = oracle.ladder(n, oracle.Ratio(xp_int, 1))
     ok = (_int(X) % P == want.x % P and _int(Z) % P == want.z % P
@@ -321,9 +312,10 @@ def _check_mladder(t: _Tally, tag: str, n: int, xp_int: int) -> None:
                         f"got=({X.hex()},{Z.hex()}) want=({want.x:#x},{want.z:#x})")
 
 
-def _suite_mladder(cfg: TrialConfig, t: _Tally) -> None:
+def _suite_mladder(cfg: TrialConfig, t: SuiteResult) -> None:
     _check_mladder(t, "edge", 2**254, 9)
     _check_mladder(t, "edge", 2**254, 0)
+    _check_mladder(t, "edge", 2**254 + 8, 9)
     for k in range(cfg.trials):
         st = _Stream(cfg.seed, "mladder", k)
         n = ladder.clamp(st.u256())
@@ -340,7 +332,7 @@ def _oracle_scalarmult(s: bytes, u: bytes) -> int:
     return 0 if a is None else a
 
 
-def _check_scalarmult(t: _Tally, tag: str, s: bytes, u: bytes) -> None:
+def _check_scalarmult(t: SuiteResult, tag: str, s: bytes, u: bytes) -> None:
     got = ladder.scalarmult(s, u)
     want = _oracle_scalarmult(s, u)
     t.check(_int(got) == want and _int(got) < P,
@@ -348,7 +340,7 @@ def _check_scalarmult(t: _Tally, tag: str, s: bytes, u: bytes) -> None:
                     f"got={got.hex()} want={_le(want).hex()}")
 
 
-def _suite_scalarmult(cfg: TrialConfig, t: _Tally) -> None:
+def _suite_scalarmult(cfg: TrialConfig, t: SuiteResult) -> None:
     for s_hex, u_hex, out_hex in RFC7748_VECTORS:
         got = ladder.scalarmult(bytes.fromhex(s_hex), bytes.fromhex(u_hex))
         t.check(got.hex() == out_hex,
@@ -363,7 +355,7 @@ def _suite_scalarmult(cfg: TrialConfig, t: _Tally) -> None:
 
 # ----------------------------------------------------------- findings suite
 
-def _check_finding(t: _Tally, tag: str, m: bytes) -> None:
+def _check_finding(t: SuiteResult, tag: str, m: bytes) -> None:
     r = mp_arith.red512(m)
     ir = _int(r)
     t.check(ir % P == _int(m) % P and ir < TWO_P,
@@ -373,7 +365,7 @@ def _check_finding(t: _Tally, tag: str, m: bytes) -> None:
             lambda: f"{tag} single-subtraction freeze r={r.hex()} got={f.hex()}")
 
 
-def _suite_findings(cfg: TrialConfig, t: _Tally) -> None:
+def _suite_findings(cfg: TrialConfig, t: SuiteResult) -> None:
     for v in edge_corpus().u512:
         _check_finding(t, "edge", _le(v, 64))
     for k in range(cfg.trials):
@@ -381,7 +373,7 @@ def _suite_findings(cfg: TrialConfig, t: _Tally) -> None:
         _check_finding(t, f"trial={k}", st.u512())
 
 
-_SUITES: Dict[str, Callable[[TrialConfig, _Tally], None]] = {
+_SUITES: Dict[str, Callable[[TrialConfig, SuiteResult], None]] = {
     "mp": _suite_mp,
     "fe": _suite_fe,
     "ladderstep": _suite_ladderstep,
@@ -412,8 +404,7 @@ def run_suite(cfg: TrialConfig) -> TrialReport:
     for name in SUITE_NAMES:
         if name not in cfg.suites:
             continue
-        tally = _Tally(name)
-        _SUITES[name](cfg, tally)
-        results[name] = tally.result()
+        results[name] = SuiteResult(name)
+        _SUITES[name](cfg, results[name])
     return TrialReport(cfg.seed, cfg.trials, results,
                        time.perf_counter() - started)

@@ -6,11 +6,8 @@ import sys
 import pytest
 
 from packed25519 import faults
-from packed25519.cli import iterate, main
-
-VECTOR_1 = ("a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
-            "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
-            "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552")
+from packed25519.cli import main
+from packed25519.difftest import RFC7748_VECTORS
 
 
 def run(capsys, *argv):
@@ -20,7 +17,7 @@ def run(capsys, *argv):
 
 
 def test_scalarmult_command(capsys):
-    s, u, want = VECTOR_1
+    s, u, want = RFC7748_VECTORS[0]
     code, out, _ = run(capsys, "scalarmult", s, u)
     assert code == 0
     assert out == want
@@ -46,10 +43,6 @@ def test_iterate_zero_is_base_point(capsys):
     assert out == "09" + "00" * 31
 
 
-def test_iterate_function_matches_command():
-    assert iterate(0).hex() == "09" + "00" * 31
-
-
 def test_iterate_rejects_negative(capsys):
     code, _, err = run(capsys, "iterate", "-3")
     assert code == 2
@@ -66,7 +59,7 @@ def test_malformed_hex_exits_2(capsys):
 
 
 def test_uppercase_hex_is_accepted(capsys):
-    s, u, want = VECTOR_1
+    s, u, want = RFC7748_VECTORS[0]
     code, out, _ = run(capsys, "scalarmult", s.upper(), u)
     assert code == 0 and out == want
 

@@ -3,8 +3,6 @@
 Expected values come from Python's own integers, which are the independent
 oracle for everything in this file; the packed kernels never see them."""
 
-import random
-
 import pytest
 
 from packed25519 import fe25519, mp_arith
@@ -34,16 +32,6 @@ def test_mul256_identities():
     assert value(mul256(le(top), le(top))) == top * top
 
 
-def test_sqr256_matches_mul256_bit_for_bit():
-    rng = random.Random(0xACE)
-    cases = [rng.randrange(2**256) for _ in range(300)]
-    # carry-heavy edges: full columns and carries through every limb
-    cases += [0, 1, 2**255, 2**256 - 1, P, 2 * P]
-    for x in cases:
-        a = le(x)
-        assert sqr256(a) == mul256(a, a)
-
-
 def test_karatsuba_halves_at_their_edges():
     # halves of 0, 1, 2^127 and 2^128 - 1: half sums reach limbs of 510, and
     # the middle block s - lo - hi cancels to 0 in some columns
@@ -53,14 +41,6 @@ def test_karatsuba_halves_at_their_edges():
         assert value(sqr256(le(x))) == x * x
         for y in xs:
             assert value(mul256(le(x), le(y))) == x * y
-
-
-def test_mul256_random_against_integers():
-    rng = random.Random(0xBEE)
-    for _ in range(500):
-        x, y = rng.randrange(2**256), rng.randrange(2**256)
-        assert value(mul256(le(x), le(y))) == x * y
-        assert value(sqr256(le(x))) == x * x
 
 
 def test_subp_examples():
@@ -76,16 +56,6 @@ def test_subp_examples():
     assert (value(d), b) == (2**256 - 1 - P, 0)
 
 
-def test_subp_identity_random():
-    rng = random.Random(4)
-    for _ in range(500):
-        a = rng.randrange(2**256)
-        d, b = subp(le(a))
-        # d - 2^256*b == a - p exactly
-        assert value(d) - 2**256 * b == a - P
-        assert b == (1 if a < P else 0)
-
-
 def test_red512_small_values_pass_through():
     for v in (0, 1, 19, 2**255 - 20):
         assert value(red512(le(v, 64))) == v
@@ -96,17 +66,6 @@ def test_red512_fold_constants():
     assert value(red512(le(2**256, 64))) == 38
     assert value(red512(le(2**255, 64))) == 19
     assert value(red512(le(2**511, 64))) % P == 2**511 % P
-
-
-def test_red512_congruence_and_range():
-    rng = random.Random(5)
-    cases = [rng.randrange(2**512) for _ in range(500)]
-    cases += [0, 1, P, 2 * P, P * P, (P - 1) ** 2, 2**512 - 1,
-              (2**256 - 1) ** 2, 2**256 - 1, 2**511]
-    for m in cases:
-        r = value(red512(le(m, 64)))
-        assert r % P == m % P
-        assert r < TWO_P
 
 
 def test_red38_column_contract():
@@ -127,26 +86,6 @@ def test_red38_column_contract():
                       (sub_mod(le(0), le(top)), -top)):
         assert value(got) % P == want % P
         assert value(got) < TWO_P
-
-
-def test_add_mod_range_and_congruence():
-    rng = random.Random(6)
-    pairs = [(rng.randrange(2**256), rng.randrange(2**256)) for _ in range(500)]
-    pairs += [(2**256 - 1, 2**256 - 1), (0, 0), (P, P), (TWO_P - 1, TWO_P - 1)]
-    for x, y in pairs:
-        s = value(add_mod(le(x), le(y)))
-        assert s % P == (x + y) % P
-        assert s < TWO_P
-
-
-def test_sub_mod_range_and_congruence():
-    rng = random.Random(7)
-    pairs = [(rng.randrange(2**256), rng.randrange(2**256)) for _ in range(500)]
-    pairs += [(0, 2**256 - 1), (2**256 - 1, 0), (0, 0), (1, TWO_P)]
-    for x, y in pairs:
-        d = value(sub_mod(le(x), le(y)))
-        assert d % P == (x - y) % P
-        assert d < TWO_P
 
 
 def test_wrong_length_is_rejected():

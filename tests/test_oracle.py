@@ -5,6 +5,7 @@ its own defining recursion, and the public RFC 7748 vectors."""
 import pytest
 
 from packed25519 import oracle
+from packed25519.difftest import RFC7748_VECTORS
 from packed25519.oracle import INFTY, Ratio, add, affine, double, eq_x, equiv, ladder, scale
 
 P = oracle.P
@@ -128,18 +129,12 @@ class TestKnownVectors:
         return 0 if out is None else out
 
     def test_rfc7748_vector_1(self):
-        out = self._x25519(
-            "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
-            "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c")
-        assert out.to_bytes(32, "little").hex() == \
-            "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552"
+        s_hex, u_hex, want_hex = RFC7748_VECTORS[0]
+        assert self._x25519(s_hex, u_hex).to_bytes(32, "little").hex() == want_hex
 
     def test_rfc7748_vector_2(self):
-        out = self._x25519(
-            "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
-            "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493")
-        assert out.to_bytes(32, "little").hex() == \
-            "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957"
+        s_hex, u_hex, want_hex = RFC7748_VECTORS[1]
+        assert self._x25519(s_hex, u_hex).to_bytes(32, "little").hex() == want_hex
 
     def test_rfc7748_diffie_hellman_public_keys(self):
         alice = self._x25519(
