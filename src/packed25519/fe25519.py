@@ -9,10 +9,8 @@ of p: one subp plus one masked move, no loop.
 Selection (`cmov`) is arithmetic masking; nothing here branches on data.
 """
 
-from typing import Tuple
-
 from . import faults, mp_arith
-from ._reduce import red38
+from ._reduce import red19
 from .mp_arith import P, mul256, red512, sqr256, sub_mod, subp
 # add and sub are the mp_arith kernels themselves, with no wrapper frame.
 from .mp_arith import add_mod as add, sub_mod as sub
@@ -47,9 +45,9 @@ def square(a: FieldElem) -> FieldElem:
 def mul121666(a: FieldElem) -> FieldElem:
     """Multiply by the ladder constant 121666 = (A + 2) / 4; result < 2p."""
     mp_arith._check(a, 32, "mul121666 operand")
-    # V = 121666 * a < 2^273, so V >> 255 < 2^18 and red38's result
+    # V = 121666 * a < 2^273, so V >> 255 < 2^18 and red19's result
     # (V mod 2^255) + 19 * (V >> 255) stays below 2p
-    out = red38((*[121666 * x for x in a], *_ZERO))
+    out = red19([121666 * x for x in a])
     if faults.ACTIVE:
         out = faults.corrupt("mul121666", out)
     return out

@@ -9,44 +9,50 @@ correspondence with unrolled 8-bit machine code.
 Multiplication is product scanning (Comba) over 16-limb blocks with one
 level of additive Karatsuba.  Split a = a0 + 2^128 a1 and b likewise; the
 straight-line kernel `mul16` gives the 31 column sums of one block product
-(column k holds every a[i]*b[j] with i + j = k).  Three of them, a0*b0,
-(a0+a1)*(b0+b1) and a1*b1, go to `join`, which takes the middle block's
-column k as s[k] - lo[k] - hi[k] = (a0*b1 + a1*b0)[k] and carries all
-three, at columns 0, 16 and 32, once from the bottom up into 64 limbs.  The
-half sums are limb sums up to 510, and every column sum is an exact
-polynomial coefficient, so the subtraction is never negative and needs no
-carry or sign mask.  Squaring is the same with `sqr16`, which writes each
-cross product a[i]*a[j] (i < j) once and doubles it: sqr16(a0),
-sqr16(a0+a1) and sqr16(a1).  The kernels live in `_kernels`, emitted by
-tools/gen_kernels.py.
+(column k holds every a[i]*b[j] with i + j = k).  The generated
+`_kernels.mul256` unpacks both operands once and makes three of them, a0*b0,
+(a0+a1)*(b0+b1) and a1*b1, on tuple displays of the halves and half sums.
+It takes the middle block's column k as s[k] - lo[k] - hi[k] =
+(a0*b1 + a1*b0)[k] and carries all three, at columns 0, 16 and 32, once
+from the bottom up into 64 limbs, in one `bytes` display.  The half sums are
+limb sums up to 510, and every column sum is an exact polynomial
+coefficient, so the subtraction is never negative and needs no carry or
+sign mask.  `mul16` itself does a second additive level over 8-limb
+halves: 192 products instead of 256, with inner half sums up to 1020.
+Squaring is `_square.sqr256`, one flat body with the same outer level: it
+writes each cross product a[i]*a[j] (i < j) once and doubles it, and its
+three 16-limb square blocks sit inline (408 products).  The kernels are
+emitted by tools/gen_kernels.py.
 
-The blocks are 16 limbs, not one flat 32x32 kernel, because of compile
-memory: no bytecode cache is written where PYTHONDONTWRITEBYTECODE is set,
-so every process parses this source, and the parser's transient peak grows
-with the number of products written out.  Flat 32x32 multiply and square
-kernels write 1024 + 528 products; the blocks write 256 + 136 and call
-them more often.  A single short scratch run of the flat pair hinted at a
-faster scalarmult but a higher peak RSS and start-up time; those figures
-were not repeated, so they show no more than the direction.
+The kernels are split over modules because of compile memory: no bytecode
+cache is written where PYTHONDONTWRITEBYTECODE is set, so every process
+parses this source, and the parser's transient peak grows with the source.
+One flat 576-product mul256 ran no faster than three mul16 calls (32.1
+against 32.4 us on CPython 3.11.7 with 2 shared vCPUs) but raised that peak
+from 987 to 1517 KB; tests/test_gen_kernels.py holds every generated module
+to a node budget.  Squaring keeps one level because a second one, inside a
+16-limb square block, ran slower there (5.39 against 5.25 us): a square
+block has fewer products to save.
 
 The paper's AVR code uses subtractive Karatsuba, |a0 - a1| * |b0 - b1| with
 a sign mask, which keeps every operand a byte.  Here the operands are
 Python integers, so the additive form needs neither the absolute
-differences nor the sign: one level of it turns four block products into
-three for the cost of two 16-limb sums and a subtraction per middle
-column.  Deeper levels would bring back the lists and calls that the
-paper's recursive tree cost in CPython.
+differences nor the sign: each level turns four block products into three
+for the cost of the half sums and a subtraction per middle column.  The
+levels are written out inside the generated functions, so they bring back
+none of the lists and calls that the paper's recursive tree cost in
+CPython.
 
 Reduction mod p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod
-p) and the remaining top bits as 19.  One routine does it for every caller:
-the straight-line `_reduce.red38`, from the same generator, carries m[k] +
-38*m[k+32] in one pass, folds bits 255 and up as 19 and carries a second
-fixed pass.  It is linear in its 64 integer columns, so red512 hands it the
-product, and add_mod, sub_mod and fe25519.mul121666 hand it their 32 column
-sums with a zero high half.  For the column total V it returns (V mod
-2^255) + 19 * (V >> 255): below 2p for every caller, so one conditional
-subtraction canonicalizes.  The linear kernels call red38 directly, so
-red512 counts only reductions of products.  `subp` keeps the one
+p) and the remaining top bits as 19.  One generated routine does it: the
+straight-line `_reduce.red38` carries m[k] + 38*m[k+32] in one pass, folds
+bits 255 and up as 19 and carries a second fixed pass.  It is linear in its
+64 integer columns, so red512 hands it the product.  `_reduce.red19` is the
+same code for 32 columns with no high half: add_mod, sub_mod and
+fe25519.mul121666 hand it their 32 column sums.  For the column total V
+both return (V mod 2^255) + 19 * (V >> 255): below 2p for every caller, so
+one conditional subtraction canonicalizes.  The linear kernels call red19,
+so red512 counts only reductions of products.  `subp` keeps the one
 hand-written carry loop.
 
 Control flow never depends on limb values: loops have fixed trip counts and
@@ -58,8 +64,9 @@ from operator import add, sub
 from typing import Sequence, Tuple
 
 from . import faults
-from ._kernels import join, mul16, sqr16
-from ._reduce import red38
+from ._kernels import mul256 as _mul256
+from ._reduce import red19, red38
+from ._square import sqr256 as _sqr256
 
 P = 2**255 - 19
 P_LIMBS = P.to_bytes(32, "little")
@@ -67,8 +74,6 @@ P_LIMBS = P.to_bytes(32, "little")
 # class that is larger than any 256-bit input, so subtraction never goes
 # negative.
 _FOURP_COLS = (180,) + (255,) * 30 + (511,)
-# the high half of red38's columns for a 32-column total
-_ZERO = bytes(32)
 
 
 def _check(x: Sequence[int], n: int, what: str) -> None:
@@ -85,8 +90,7 @@ def mul256(a: bytes, b: bytes) -> bytes:
     """256x256->512-bit product of packed little-endian limbs."""
     _check(a, 32, "mul256 operand")
     _check(b, 32, "mul256 operand")
-    a0, a1, b0, b1 = a[:16], a[16:], b[:16], b[16:]
-    out = join(mul16(a0, b0), mul16(map(add, a0, a1), map(add, b0, b1)), mul16(a1, b1))
+    out = _mul256(a, b)
     if faults.ACTIVE:
         out = faults.corrupt("mul256", out)
     return out
@@ -95,8 +99,7 @@ def mul256(a: bytes, b: bytes) -> bytes:
 def sqr256(a: bytes) -> bytes:
     """256-bit squaring; same value as mul256(a, a), each cross product once."""
     _check(a, 32, "sqr256 operand")
-    a0, a1 = a[:16], a[16:]
-    out = join(sqr16(a0), sqr16(map(add, a0, a1)), sqr16(a1))
+    out = _sqr256(a)
     if faults.ACTIVE:
         out = faults.corrupt("sqr256", out)
     return out
@@ -139,7 +142,7 @@ def add_mod(a: bytes, b: bytes) -> bytes:
     """a + b with bits 255+ of the sum folded back as 19; result < 2p."""
     _check(a, 32, "add_mod operand")
     _check(b, 32, "add_mod operand")
-    out = red38((*map(add, a, b), *_ZERO))
+    out = red19(map(add, a, b))
     if faults.ACTIVE:
         out = faults.corrupt("add_mod", out)
     return out
@@ -150,11 +153,11 @@ def sub_mod(a: bytes, b: bytes) -> bytes:
 
     4p exceeds every 256-bit input, so a + 4p - b is positive and needs no
     sign-dependent control flow.  The columns a[i] + 4p[i] - b[i] may be
-    negative; red38's carry pass floors.
+    negative; red19's carry pass floors.
     """
     _check(a, 32, "sub_mod operand")
     _check(b, 32, "sub_mod operand")
-    out = red38((*map(sub, map(add, a, _FOURP_COLS), b), *_ZERO))
+    out = red19(map(sub, map(add, a, _FOURP_COLS), b))
     if faults.ACTIVE:
         out = faults.corrupt("sub_mod", out)
     return out

@@ -6,7 +6,7 @@ oracle for everything in this file; the packed kernels never see them."""
 import pytest
 
 from packed25519 import fe25519, mp_arith
-from packed25519._reduce import red38
+from packed25519._reduce import red19, red38
 from packed25519.mp_arith import P, add_mod, mul256, red512, sqr256, sub_mod, subp, value
 
 TWO_P = 2 * P
@@ -70,15 +70,22 @@ def test_red512_fold_constants():
 
 def test_red38_column_contract():
     # red38 is linear in 64 integer columns of any sign: for the total V it
-    # returns (V mod 2^255) + 19 * (V >> 255), which must lie in [0, 2^256)
+    # returns (V mod 2^255) + 19 * (V >> 255), which must lie in [0, 2^256);
+    # red19 is the same on 32 columns, as red38 with a zero high half
     assert value(red38((-1,) + (0,) * 63)) == P - 1
-    with pytest.raises(AssertionError, match="fold overflow"):
-        red38((0,) * 31 + (2**300,) + (0,) * 32)
-    with pytest.raises(AssertionError, match="fold overflow"):
-        red38((5,) + (0,) * 30 + (-128,) + (0,) * 32)  # V = -2^255 + 5
+    for cols in ((-1,) + (0,) * 31, (0,) * 32, (255,) * 32, (510,) * 32,
+                 (121666 * 255,) * 32, mp_arith._FOURP_COLS,
+                 tuple(c - 255 for c in mp_arith._FOURP_COLS), (0,) * 31 + (-127,)):
+        assert red19(cols) == red38(cols + (0,) * 32), cols
+    assert value(red19((-1,) + (0,) * 31)) == P - 1
+    for overflow in ((0,) * 31 + (2**300,),
+                     (5,) + (0,) * 30 + (-128,)):  # V = -2^255 + 5
+        for red, cols in ((red38, overflow + (0,) * 32), (red19, overflow)):
+            with pytest.raises(AssertionError, match="fold overflow"):
+                red(cols)
     # sub_mod's offset columns denote 4p
     assert sum(c << 8 * k for k, c in enumerate(mp_arith._FOURP_COLS)) == 4 * P
-    # the callers with a zero high half, at the extremes of their totals
+    # the callers of red19, at the extremes of their totals
     top = 2**256 - 1
     for got, want in ((fe25519.mul121666(le(top)), 121666 * top),
                       (add_mod(le(top), le(top)), 2 * top),

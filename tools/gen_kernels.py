@@ -2,20 +2,29 @@
 
     python tools/gen_kernels.py
 
-Two modules are written, each with its functions spelled out without loops
+Three modules are written, each with its functions spelled out without loops
 so that CPython runs them as a few bytecodes and nothing else.
 
-_kernels.py, behind mp_arith.mul256 and sqr256:
+_kernels.py, behind mp_arith.mul256:
 
   mul16(a, b)       the 31 column sums of a 16x16-limb product: column k is
-                    the sum of a[i]*b[j] over i + j = k;
-  sqr16(a)          the same columns for a*a, with each cross product
-                    a[i]*a[j] (i < j) written once and doubled;
-  join(lo, s, hi)   one carry pass over the one-level Karatsuba blocks
-                    lo = x0*y0, s = (x0+x1)*(y0+y1) and hi = x1*y1, placed
-                    at columns 0, 16 and 32 with the middle column k taken
-                    as s[k] - lo[k] - hi[k], giving the 64 limbs of a
-                    512-bit product.
+                    the sum of a[i]*b[j] over i + j = k.  Inside, one
+                    additive Karatsuba level over 8-limb halves: the inner
+                    blocks l = x0*y0, (x0+x1)*(y0+y1) and h = x1*y1 take
+                    192 products instead of 256, and the middle column j is
+                    that block's column j minus l[j] and h[j].
+  mul256(a, b)      the 64 limbs of a 256x256-bit product: three mul16
+                    calls on tuple displays of the 16-limb halves and half
+                    sums, then one carry display over their columns at 0, 16
+                    and 32 with the middle column k taken as
+                    s[k] - l[k] - h[k].
+
+_square.py, behind mp_arith.sqr256:
+
+  sqr256(a)         the same 64 limbs for a*a in one body: the three
+                    16-limb square blocks inline (each cross product a[i]*a[j]
+                    with i < j written once and doubled, 408 products) and
+                    the same carry display.
 
 _reduce.py, the one reduction of the field layer:
 
@@ -26,42 +35,63 @@ _reduce.py, the one reduction of the field layer:
                     it returns (V mod 2^255) + 19*(V >> 255), and its
                     `fold overflow` assert fires when that falls outside
                     [0, 2^256).  Columns may be negative or exceed a byte.
-                    Its callers are mp_arith.red512 (a 512-bit product)
-                    and, with a zero high half, mp_arith.add_mod, sub_mod
+                    Its caller is mp_arith.red512 (a 512-bit product).
+  red19(m)          the same for 32 columns, written by the same code with
+                    no high half: the callers are mp_arith.add_mod, sub_mod
                     and fe25519.mul121666.
 
-red38 lives in a module of its own because the parser's transient peak is
-per module: placed inside _kernels.py it would raise that peak.
+The modules are split because the parser's transient peak is per module and
+grows with the source's size: tests/test_gen_kernels.py holds every module
+to a budget of syntax-tree nodes, which tracks that peak.
 
 Only the standard library is used.
 """
 
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "packed25519"
 KERNELS = PACKAGE / "_kernels.py"
+SQUARE = PACKAGE / "_square.py"
 REDUCE = PACKAGE / "_reduce.py"
 N = 16  # limbs per block
-COLS = 2 * N - 1  # column sums per block product
-OUT = 4 * N  # limbs of the joined product
+H = N // 2  # limbs per inner half of a block
 LIMBS = 2 * N  # limbs of a field element
 
 KERNELS_HEADER = '''\
-"""Straight-line 16-limb product kernels for mp_arith.mul256 and sqr256.
+"""Straight-line product kernels for mp_arith.mul256.
 
 Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 `python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
 the generator's output byte for byte.
 
-mul16 and sqr16 return the 31 column sums of a 16x16-limb product (column
-k holds every a[i]*b[j] with i + j = k).  Their operands are byte limbs or
-sums of two byte limbs, up to 510, so a column sum stays below 2^22.
-join(lo, s, hi) carries three such blocks into the 64 limbs of a 512-bit
-product: lo at column 0, hi at column 32, and at column 16 the one-level
-Karatsuba middle s - lo - hi, where s is the product of the half sums.
-Each column sum is an exact polynomial coefficient, so s[k] - lo[k] - hi[k]
-is never negative and needs no carry of its own.
+mul16 returns the 31 column sums of a 16x16-limb product (column k holds
+every a[i]*b[j] with i + j = k).  Its operands are byte limbs or sums of two
+byte limbs, up to 510.  It does one additive Karatsuba level over 8-limb
+halves: the inner half sums reach 1020, every inner block column stays below
+2^23 and every returned column below 2^22.
+
+mul256 unpacks its two 32-limb operands once, makes three mul16 blocks, l of
+the low halves, s of the half sums and h of the high halves, and carries
+them into the 64 limbs of a 512-bit product in one display: l at column 0, h
+at column 32, and at column 16 the Karatsuba middle s - l - h.  Each column
+sum is an exact polynomial coefficient, so a middle column is never
+negative and needs no carry of its own.
+"""
+'''
+
+SQUARE_HEADER = '''\
+"""Straight-line squaring kernel for mp_arith.sqr256.
+
+Generated by tools/gen_kernels.py; do not edit.  Regenerate with
+`python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
+the generator's output byte for byte.
+
+sqr256 is mul256's one-level Karatsuba with the three 16-limb square blocks
+written inline: l of the low half and h of the high half as locals, the
+middle block of the half sums t inside the carry display.  Each cross
+product a[i]*a[j] (i < j) is written once and doubled.  It lives apart from
+mul256 because the parser's transient peak is per module.
 """
 '''
 
@@ -77,78 +107,113 @@ pass, then bits 255 and up as 19 (2^255 = 19 mod p) in a second fixed pass.
 It is linear in its 64 integer columns, which may be negative or exceed a
 byte: for V = sum (m[k] + 38*m[k+32])*2^(8k) it returns (V mod 2^255) +
 19*(V >> 255) as 32 limbs, and its `fold overflow` assert fires when that
-falls outside [0, 2^256).  mp_arith.red512 calls it on a 512-bit product;
-mp_arith.add_mod, sub_mod and fe25519.mul121666 call it with a zero high
-half.
+falls outside [0, 2^256).  red19 is the same for 32 columns, as if the high
+half were zero.  mp_arith.red512 calls red38 on a 512-bit product;
+mp_arith.add_mod, sub_mod and fe25519.mul121666 call red19.
 """
 '''
 
-
-def _names(prefix: str, n: int) -> str:
-    return ", ".join(f"{prefix}{i}" for i in range(n))
+Col = Callable[[int], str]
 
 
-def _carry_step(k: int, terms: str) -> str:
-    return f"    c = {terms}" if k == 0 else f"    c = (c >> 8) + {terms}"
+def _names(prefix: str, n: int, start: int = 0) -> str:
+    return ", ".join(f"{prefix}{i}" for i in range(start, start + n))
+
+
+def _mul_col(x: str, y: str, k: int, n: int, start: int = 0) -> str:
+    """Column k of the n x n product of limbs x{start}.. and y{start}..."""
+    return " + ".join(f"{x}{start + i}*{y}{start + k - i}"
+                      for i in range(max(0, k - n + 1), min(k, n - 1) + 1))
+
+
+def _sqr_col(x: str, k: int, n: int, start: int = 0) -> str:
+    """Column k of the square of limbs x{start}.., cross products doubled."""
+    cross = [f"{x}{start + i}*{x}{start + k - i}" for i in range(max(0, k - n + 1), (k + 1) // 2)]
+    terms = [f"2*({' + '.join(cross)})"] if cross else []
+    if k % 2 == 0:
+        terms.append(f"{x}{start + k // 2}*{x}{start + k // 2}")
+    return " + ".join(terms)
+
+
+def _karatsuba(n: int, lo: Col, mid: Col, hi: Col) -> List[str]:
+    """The 4n - 1 columns of lo + 2^(8n)*(mid - lo - hi) + 2^(16n)*hi for
+    three blocks of 2n - 1 columns each, given by column index."""
+    cols = []
+    for k in range(4 * n - 1):
+        terms = []
+        if k < 2 * n - 1:
+            terms.append(lo(k))
+        if 0 <= k - n < 2 * n - 1:
+            terms.append(f"{mid(k - n)} - {lo(k - n)} - {hi(k - n)}")
+        if k >= 2 * n:
+            terms.append(hi(k - 2 * n))
+        cols.append(" + ".join(terms))
+    return cols
+
+
+def _carry_bytes(cols: List[str]) -> List[str]:
+    """The `return` of one carry pass over the columns, as one bytes display."""
+    lines = ["    return bytes(("]
+    for k, col in enumerate(cols):
+        lines.append(f"        (c := {col if k == 0 else f'(c >> 8) + {col}'}) & 255,")
+    lines += ["        c >> 8,", "    ))"]
+    return lines
 
 
 def _mul16() -> List[str]:
     lines = ["def mul16(a, b):",
              f"    {_names('a', N)} = a",
-             f"    {_names('b', N)} = b",
-             "    return ("]
-    for k in range(COLS):
-        terms = [f"a{i}*b{k - i}" for i in range(max(0, k - N + 1), min(k, N - 1) + 1)]
-        lines.append(f"        {' + '.join(terms)},")
+             f"    {_names('b', N)} = b"]
+    lines += [f"    u{i} = a{i} + a{i + H}" for i in range(H)]
+    lines += [f"    v{i} = b{i} + b{i + H}" for i in range(H)]
+    lines += [f"    l{k} = {_mul_col('a', 'b', k, H)}" for k in range(2 * H - 1)]
+    lines += [f"    h{k} = {_mul_col('a', 'b', k, H, H)}" for k in range(2 * H - 1)]
+    lines.append("    return (")
+    cols = _karatsuba(H, lambda j: f"l{j}", lambda j: _mul_col("u", "v", j, H), lambda j: f"h{j}")
+    lines += [f"        {col}," for col in cols]
     lines.append("    )")
     return lines
 
 
-def _sqr16() -> List[str]:
-    lines = ["def sqr16(a):",
-             f"    {_names('a', N)} = a",
-             "    return ("]
-    for k in range(COLS):
-        cross = [f"a{i}*a{k - i}" for i in range(max(0, k - N + 1), (k + 1) // 2)]
-        terms = [f"2*({' + '.join(cross)})"] if cross else []
-        if k % 2 == 0:
-            terms.append(f"a{k // 2}*a{k // 2}")
-        lines.append(f"        {' + '.join(terms)},")
-    lines.append("    )")
+def _mul256() -> List[str]:
+    sums_a = ", ".join(f"a{i} + a{i + N}" for i in range(N))
+    sums_b = ", ".join(f"b{i} + b{i + N}" for i in range(N))
+    lines = ["def mul256(a, b):",
+             f"    {_names('a', LIMBS)} = a",
+             f"    {_names('b', LIMBS)} = b"]
+    for block, x, y in (("l", _names("a", N), _names("b", N)),
+                        ("s", sums_a, sums_b),
+                        ("h", _names("a", N, N), _names("b", N, N))):
+        lines.append(f"    {_names(block, 2 * N - 1)} = mul16(({x}), ({y}))")
+    lines += _carry_bytes(_karatsuba(N, lambda j: f"l{j}", lambda j: f"s{j}", lambda j: f"h{j}"))
     return lines
 
 
-def _join() -> List[str]:
-    lines = ["def join(lo, s, hi):",
-             f"    {_names('l', COLS)} = lo",
-             f"    {_names('s', COLS)} = s",
-             f"    {_names('h', COLS)} = hi"]
-    for k in range(OUT - 1):
-        terms = []
-        if k < COLS:
-            terms.append(f"l{k}")
-        if 0 <= k - N < COLS:
-            terms.append(f"s{k - N} - l{k - N} - h{k - N}")
-        if k >= 2 * N:
-            terms.append(f"h{k - 2 * N}")
-        lines.append(_carry_step(k, " + ".join(terms)))
-        lines.append(f"    r{k} = c & 255")
-    lines.append(f"    return bytes(({_names('r', OUT - 1)}, c >> 8))")
+def _sqr256() -> List[str]:
+    lines = ["def sqr256(a):",
+             f"    {_names('a', LIMBS)} = a"]
+    lines += [f"    t{i} = a{i} + a{i + N}" for i in range(N)]
+    lines += [f"    l{k} = {_sqr_col('a', k, N)}" for k in range(2 * N - 1)]
+    lines += [f"    h{k} = {_sqr_col('a', k, N, N)}" for k in range(2 * N - 1)]
+    lines += _carry_bytes(_karatsuba(N, lambda j: f"l{j}", lambda j: _sqr_col("t", j, N),
+                                     lambda j: f"h{j}"))
     return lines
 
 
-def _red38() -> List[str]:
-    lines = ["def red38(m):",
-             f"    {_names('m', 2 * LIMBS)} = m"]
+def _red(name: str, width: int) -> List[str]:
+    """Reduction of `width` columns (64 for red38, 32 for red19)."""
+    lines = [f"def {name}(m):",
+             f"    {_names('m', width)} = m"]
     for k in range(LIMBS):
-        lines.append(_carry_step(k, f"m{k} + 38*m{k + LIMBS}"))
+        col = f"m{k} + 38*m{k + LIMBS}" if width > LIMBS else f"m{k}"
+        lines.append(f"    c = {col}" if k == 0 else f"    c = (c >> 8) + {col}")
         if k < LIMBS - 1:
             lines.append(f"    r{k} = c & 255")
     lines += [f"    r{LIMBS - 1} = c & 127",
               "    c = r0 + 19*(c >> 7)",
               "    r0 = c & 255"]
     for k in range(1, LIMBS):
-        lines.append(_carry_step(k, f"r{k}"))
+        lines.append(f"    c = (c >> 8) + r{k}")
         lines.append(f"    r{k} = c & 255")
     lines += ['    assert c >> 8 == 0, "fold overflow"',
               f"    return bytes(({_names('r', LIMBS)}))"]
@@ -162,8 +227,9 @@ def _module(header: str, blocks: List[List[str]]) -> str:
 def render() -> Dict[Path, str]:
     """The full text of each generated module, by path."""
     return {
-        KERNELS: _module(KERNELS_HEADER, [_mul16(), _sqr16(), _join()]),
-        REDUCE: _module(REDUCE_HEADER, [_red38()]),
+        KERNELS: _module(KERNELS_HEADER, [_mul16(), _mul256()]),
+        SQUARE: _module(SQUARE_HEADER, [_sqr256()]),
+        REDUCE: _module(REDUCE_HEADER, [_red("red38", 2 * LIMBS), _red("red19", LIMBS)]),
     }
 
 
