@@ -5,13 +5,14 @@ Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 the generator's output byte for byte.
 
 red38 folds the high 32 columns in as 38 (2^256 = 38 mod p) in one carry
-pass, then bits 255 and up as 19 (2^255 = 19 mod p) in a second fixed pass.
-It is linear in its 64 integer columns, which may be negative or exceed a
-byte: for V = sum (m[k] + 38*m[k+32])*2^(8k) it returns (V mod 2^255) +
-19*(V >> 255) as 32 limbs, and its `fold overflow` assert fires when that
+pass, then bits 255 and up as 19 (2^255 = 19 mod p) in a second fixed pass,
+written as one bytes display.  It is linear in its 64 integer columns, which
+may be negative or exceed a byte: for V = sum (m[k] + 38*m[k+32])*2^(8k) it
+returns (V mod 2^255) + 19*(V >> 255) as 32 limbs.  The top limb is left
+unmasked, so bytes() raises ValueError, with or without -O, when that value
 falls outside [0, 2^256).  red19 is the same for 32 columns, as if the high
 half were zero.  mp_arith.red512 calls red38 on a 512-bit product;
-mp_arith.add_mod, sub_mod and fe25519.mul121666 call red19.
+mp_arith.add_mod, sub_mod and mul121666 call red19.
 """
 
 
@@ -81,72 +82,40 @@ def red38(m):
     r30 = c & 255
     c = (c >> 8) + m31 + 38*m63
     r31 = c & 127
-    c = r0 + 19*(c >> 7)
-    r0 = c & 255
-    c = (c >> 8) + r1
-    r1 = c & 255
-    c = (c >> 8) + r2
-    r2 = c & 255
-    c = (c >> 8) + r3
-    r3 = c & 255
-    c = (c >> 8) + r4
-    r4 = c & 255
-    c = (c >> 8) + r5
-    r5 = c & 255
-    c = (c >> 8) + r6
-    r6 = c & 255
-    c = (c >> 8) + r7
-    r7 = c & 255
-    c = (c >> 8) + r8
-    r8 = c & 255
-    c = (c >> 8) + r9
-    r9 = c & 255
-    c = (c >> 8) + r10
-    r10 = c & 255
-    c = (c >> 8) + r11
-    r11 = c & 255
-    c = (c >> 8) + r12
-    r12 = c & 255
-    c = (c >> 8) + r13
-    r13 = c & 255
-    c = (c >> 8) + r14
-    r14 = c & 255
-    c = (c >> 8) + r15
-    r15 = c & 255
-    c = (c >> 8) + r16
-    r16 = c & 255
-    c = (c >> 8) + r17
-    r17 = c & 255
-    c = (c >> 8) + r18
-    r18 = c & 255
-    c = (c >> 8) + r19
-    r19 = c & 255
-    c = (c >> 8) + r20
-    r20 = c & 255
-    c = (c >> 8) + r21
-    r21 = c & 255
-    c = (c >> 8) + r22
-    r22 = c & 255
-    c = (c >> 8) + r23
-    r23 = c & 255
-    c = (c >> 8) + r24
-    r24 = c & 255
-    c = (c >> 8) + r25
-    r25 = c & 255
-    c = (c >> 8) + r26
-    r26 = c & 255
-    c = (c >> 8) + r27
-    r27 = c & 255
-    c = (c >> 8) + r28
-    r28 = c & 255
-    c = (c >> 8) + r29
-    r29 = c & 255
-    c = (c >> 8) + r30
-    r30 = c & 255
-    c = (c >> 8) + r31
-    r31 = c & 255
-    assert c >> 8 == 0, "fold overflow"
-    return bytes((r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15, r16, r17, r18, r19, r20, r21, r22, r23, r24, r25, r26, r27, r28, r29, r30, r31))
+    return bytes((
+        (c := r0 + 19*(c >> 7)) & 255,
+        (c := (c >> 8) + r1) & 255,
+        (c := (c >> 8) + r2) & 255,
+        (c := (c >> 8) + r3) & 255,
+        (c := (c >> 8) + r4) & 255,
+        (c := (c >> 8) + r5) & 255,
+        (c := (c >> 8) + r6) & 255,
+        (c := (c >> 8) + r7) & 255,
+        (c := (c >> 8) + r8) & 255,
+        (c := (c >> 8) + r9) & 255,
+        (c := (c >> 8) + r10) & 255,
+        (c := (c >> 8) + r11) & 255,
+        (c := (c >> 8) + r12) & 255,
+        (c := (c >> 8) + r13) & 255,
+        (c := (c >> 8) + r14) & 255,
+        (c := (c >> 8) + r15) & 255,
+        (c := (c >> 8) + r16) & 255,
+        (c := (c >> 8) + r17) & 255,
+        (c := (c >> 8) + r18) & 255,
+        (c := (c >> 8) + r19) & 255,
+        (c := (c >> 8) + r20) & 255,
+        (c := (c >> 8) + r21) & 255,
+        (c := (c >> 8) + r22) & 255,
+        (c := (c >> 8) + r23) & 255,
+        (c := (c >> 8) + r24) & 255,
+        (c := (c >> 8) + r25) & 255,
+        (c := (c >> 8) + r26) & 255,
+        (c := (c >> 8) + r27) & 255,
+        (c := (c >> 8) + r28) & 255,
+        (c := (c >> 8) + r29) & 255,
+        (c := (c >> 8) + r30) & 255,
+        (c >> 8) + r31,
+    ))
 
 
 def red19(m):
@@ -215,69 +184,37 @@ def red19(m):
     r30 = c & 255
     c = (c >> 8) + m31
     r31 = c & 127
-    c = r0 + 19*(c >> 7)
-    r0 = c & 255
-    c = (c >> 8) + r1
-    r1 = c & 255
-    c = (c >> 8) + r2
-    r2 = c & 255
-    c = (c >> 8) + r3
-    r3 = c & 255
-    c = (c >> 8) + r4
-    r4 = c & 255
-    c = (c >> 8) + r5
-    r5 = c & 255
-    c = (c >> 8) + r6
-    r6 = c & 255
-    c = (c >> 8) + r7
-    r7 = c & 255
-    c = (c >> 8) + r8
-    r8 = c & 255
-    c = (c >> 8) + r9
-    r9 = c & 255
-    c = (c >> 8) + r10
-    r10 = c & 255
-    c = (c >> 8) + r11
-    r11 = c & 255
-    c = (c >> 8) + r12
-    r12 = c & 255
-    c = (c >> 8) + r13
-    r13 = c & 255
-    c = (c >> 8) + r14
-    r14 = c & 255
-    c = (c >> 8) + r15
-    r15 = c & 255
-    c = (c >> 8) + r16
-    r16 = c & 255
-    c = (c >> 8) + r17
-    r17 = c & 255
-    c = (c >> 8) + r18
-    r18 = c & 255
-    c = (c >> 8) + r19
-    r19 = c & 255
-    c = (c >> 8) + r20
-    r20 = c & 255
-    c = (c >> 8) + r21
-    r21 = c & 255
-    c = (c >> 8) + r22
-    r22 = c & 255
-    c = (c >> 8) + r23
-    r23 = c & 255
-    c = (c >> 8) + r24
-    r24 = c & 255
-    c = (c >> 8) + r25
-    r25 = c & 255
-    c = (c >> 8) + r26
-    r26 = c & 255
-    c = (c >> 8) + r27
-    r27 = c & 255
-    c = (c >> 8) + r28
-    r28 = c & 255
-    c = (c >> 8) + r29
-    r29 = c & 255
-    c = (c >> 8) + r30
-    r30 = c & 255
-    c = (c >> 8) + r31
-    r31 = c & 255
-    assert c >> 8 == 0, "fold overflow"
-    return bytes((r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15, r16, r17, r18, r19, r20, r21, r22, r23, r24, r25, r26, r27, r28, r29, r30, r31))
+    return bytes((
+        (c := r0 + 19*(c >> 7)) & 255,
+        (c := (c >> 8) + r1) & 255,
+        (c := (c >> 8) + r2) & 255,
+        (c := (c >> 8) + r3) & 255,
+        (c := (c >> 8) + r4) & 255,
+        (c := (c >> 8) + r5) & 255,
+        (c := (c >> 8) + r6) & 255,
+        (c := (c >> 8) + r7) & 255,
+        (c := (c >> 8) + r8) & 255,
+        (c := (c >> 8) + r9) & 255,
+        (c := (c >> 8) + r10) & 255,
+        (c := (c >> 8) + r11) & 255,
+        (c := (c >> 8) + r12) & 255,
+        (c := (c >> 8) + r13) & 255,
+        (c := (c >> 8) + r14) & 255,
+        (c := (c >> 8) + r15) & 255,
+        (c := (c >> 8) + r16) & 255,
+        (c := (c >> 8) + r17) & 255,
+        (c := (c >> 8) + r18) & 255,
+        (c := (c >> 8) + r19) & 255,
+        (c := (c >> 8) + r20) & 255,
+        (c := (c >> 8) + r21) & 255,
+        (c := (c >> 8) + r22) & 255,
+        (c := (c >> 8) + r23) & 255,
+        (c := (c >> 8) + r24) & 255,
+        (c := (c >> 8) + r25) & 255,
+        (c := (c >> 8) + r26) & 255,
+        (c := (c >> 8) + r27) & 255,
+        (c := (c >> 8) + r28) & 255,
+        (c := (c >> 8) + r29) & 255,
+        (c := (c >> 8) + r30) & 255,
+        (c >> 8) + r31,
+    ))

@@ -9,9 +9,7 @@ of p: one subp plus one masked move, no loop.
 Selection (`cmov`) is arithmetic masking; nothing here branches on data.
 """
 
-from . import faults, mp_arith
-from ._reduce import red19
-from .mp_arith import P, mul256, red512, sqr256, sub_mod, subp
+from .mp_arith import P, mul121666, mul256, red512, sqr256, sub_mod, subp
 # add and sub are the mp_arith kernels themselves, with no wrapper frame.
 from .mp_arith import add_mod as add, sub_mod as sub
 
@@ -40,17 +38,6 @@ def mul(a: FieldElem, b: FieldElem) -> FieldElem:
 
 def square(a: FieldElem) -> FieldElem:
     return red512(sqr256(a))
-
-
-def mul121666(a: FieldElem) -> FieldElem:
-    """Multiply by the ladder constant 121666 = (A + 2) / 4; result < 2p."""
-    mp_arith._check(a, 32, "mul121666 operand")
-    # V = 121666 * a < 2^273, so V >> 255 < 2^18 and red19's result
-    # (V mod 2^255) + 19 * (V >> 255) stays below 2p
-    out = red19([121666 * x for x in a])
-    if faults.ACTIVE:
-        out = faults.corrupt("mul121666", out)
-    return out
 
 
 def cmov(a: FieldElem, b: FieldElem, c: int) -> FieldElem:

@@ -46,14 +46,18 @@ CPython.
 Reduction mod p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod
 p) and the remaining top bits as 19.  One generated routine does it: the
 straight-line `_reduce.red38` carries m[k] + 38*m[k+32] in one pass, folds
-bits 255 and up as 19 and carries a second fixed pass.  It is linear in its
-64 integer columns, so red512 hands it the product.  `_reduce.red19` is the
-same code for 32 columns with no high half: add_mod, sub_mod and
-fe25519.mul121666 hand it their 32 column sums.  For the column total V
-both return (V mod 2^255) + 19 * (V >> 255): below 2p for every caller, so
-one conditional subtraction canonicalizes.  The linear kernels call red19,
-so red512 counts only reductions of products.  `subp` keeps the one
-hand-written carry loop.
+bits 255 and up as 19 and carries a second fixed pass in the same `bytes`
+display that ends mul256.  It is linear in its 64 integer columns, so
+red512 hands it the product.  `_reduce.red19` is the same code for 32
+columns with no high half: add_mod, sub_mod and mul121666 hand it their 32
+column sums.  For the column total V both return (V mod 2^255) +
+19 * (V >> 255): below 2p for every caller, so one conditional subtraction
+canonicalizes.  The display leaves the top limb unmasked, so a total whose
+result falls outside [0, 2^256) makes `bytes()` raise ValueError, with or
+without -O.  This module is the only caller of `_reduce` and the only one
+that knows its column contract.  The linear kernels call red19, so red512
+counts only reductions of products.  `subp` keeps the one hand-written
+carry loop.
 
 Control flow never depends on limb values: loops have fixed trip counts and
 carries and borrows are arithmetic, never branches.  (CPython integers are
@@ -160,4 +164,15 @@ def sub_mod(a: bytes, b: bytes) -> bytes:
     out = red19(map(sub, map(add, a, _FOURP_COLS), b))
     if faults.ACTIVE:
         out = faults.corrupt("sub_mod", out)
+    return out
+
+
+def mul121666(a: bytes) -> bytes:
+    """Multiply by the ladder constant 121666 = (A + 2) / 4; result < 2p."""
+    _check(a, 32, "mul121666 operand")
+    # V = 121666 * a < 2^273, so V >> 255 < 2^18 and red19's result
+    # (V mod 2^255) + 19 * (V >> 255) stays below 2p
+    out = red19([121666 * x for x in a])
+    if faults.ACTIVE:
+        out = faults.corrupt("mul121666", out)
     return out

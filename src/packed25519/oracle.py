@@ -117,3 +117,11 @@ def affine(r: Ratio) -> Optional[int]:
     if r.z % P == 0:
         return None
     return r.x * pow(r.z, P - 2, P) % P
+
+
+def x25519(s: int, u: int) -> int:
+    """RFC 7748's X25519 on integers: the affine x of clamp(s) times the
+    point with x = u mod 2^255, and 0 for the point at infinity."""
+    n = s % 2**254 + 2**254 - s % 8
+    x = affine(scale(n, u % 2**255))
+    return 0 if x is None else x

@@ -1,6 +1,6 @@
 """The committed kernel modules are exactly what tools/gen_kernels.py emits,
-each stays within the parser's budget, and mul16's identity and column
-bounds hold for all inputs."""
+each is straight-line and stays within the parser's budget, and mul16's
+identity and column bounds hold for all inputs."""
 
 import ast
 import importlib.util
@@ -31,10 +31,18 @@ def test_committed_kernels_match_generator_byte_for_byte():
         assert path.read_bytes() == text.encode("utf-8"), f"{path.name} is stale"
 
 
-def test_every_generated_module_is_within_the_parse_budget():
+# Nodes that branch or loop.  None may appear in generated code, so no input
+# can change its control flow: the static complement, for all inputs, of
+# tests/test_constant_time.py's traced runs.
+BRANCHES = (ast.Assert, ast.If, ast.IfExp, ast.While, ast.For, ast.BoolOp, ast.Try)
+
+
+def test_every_generated_module_is_straight_line_and_within_the_parse_budget():
     for path, text in _generator().render().items():
-        nodes = sum(1 for _ in ast.walk(ast.parse(text)))
-        assert nodes <= PARSE_BUDGET, f"{path.name} has {nodes} nodes"
+        nodes = list(ast.walk(ast.parse(text)))
+        assert len(nodes) <= PARSE_BUDGET, f"{path.name} has {len(nodes)} nodes"
+        branches = [f"{type(n).__name__} at line {n.lineno}" for n in nodes if isinstance(n, BRANCHES)]
+        assert branches == [], f"{path.name} branches: {branches}"
 
 
 def _run_recorded(fn, *operands):

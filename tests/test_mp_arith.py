@@ -3,9 +3,12 @@
 Expected values come from Python's own integers, which are the independent
 oracle for everything in this file; the packed kernels never see them."""
 
+import subprocess
+import sys
+
 import pytest
 
-from packed25519 import fe25519, mp_arith
+from packed25519 import mp_arith
 from packed25519._reduce import red19, red38
 from packed25519.mp_arith import P, add_mod, mul256, red512, sqr256, sub_mod, subp, value
 
@@ -81,18 +84,30 @@ def test_red38_column_contract():
     for overflow in ((0,) * 31 + (2**300,),
                      (5,) + (0,) * 30 + (-128,)):  # V = -2^255 + 5
         for red, cols in ((red38, overflow + (0,) * 32), (red19, overflow)):
-            with pytest.raises(AssertionError, match="fold overflow"):
+            with pytest.raises(ValueError, match=r"bytes must be in range\(0, 256\)"):
                 red(cols)
     # sub_mod's offset columns denote 4p
     assert sum(c << 8 * k for k, c in enumerate(mp_arith._FOURP_COLS)) == 4 * P
     # the callers of red19, at the extremes of their totals
     top = 2**256 - 1
-    for got, want in ((fe25519.mul121666(le(top)), 121666 * top),
+    for got, want in ((mp_arith.mul121666(le(top)), 121666 * top),
                       (add_mod(le(top), le(top)), 2 * top),
                       (sub_mod(le(top), le(0)), top),
                       (sub_mod(le(0), le(top)), -top)):
         assert value(got) % P == want % P
         assert value(got) < TWO_P
+
+
+def test_red_overflow_is_rejected_under_O():
+    # the overflow check is bytes()'s own range check, so -O keeps it
+    code = ("from packed25519._reduce import red19, red38\n"
+            "for red, pad in ((red19, 0), (red38, 32)):\n"
+            "    try:\n        red((0,) * 31 + (2**300,) + (0,) * pad)\n"
+            "    except ValueError as e:\n        print(e)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "bytes must be in range(0, 256)\n" * 2
 
 
 def test_wrong_length_is_rejected():

@@ -30,15 +30,20 @@ _reduce.py, the one reduction of the field layer:
 
   red38(m)          64 integer columns reduced mod 2^255 - 19 into 32
                     limbs: one carry pass over m[k] + 38*m[k+32], then bits
-                    255 and up folded in as 19 and a second carry pass.
+                    255 and up folded in as 19 and a second carry pass, the
+                    same carry display that ends mul256 and sqr256.
                     For the column total V = sum (m[k] + 38*m[k+32])*2^(8k)
-                    it returns (V mod 2^255) + 19*(V >> 255), and its
-                    `fold overflow` assert fires when that falls outside
-                    [0, 2^256).  Columns may be negative or exceed a byte.
-                    Its caller is mp_arith.red512 (a 512-bit product).
+                    it returns (V mod 2^255) + 19*(V >> 255); its top limb
+                    is left unmasked, so bytes() raises ValueError, in every
+                    mode, when that falls outside [0, 2^256).  Columns may
+                    be negative or exceed a byte.  Its caller is
+                    mp_arith.red512 (a 512-bit product).
   red19(m)          the same for 32 columns, written by the same code with
                     no high half: the callers are mp_arith.add_mod, sub_mod
-                    and fe25519.mul121666.
+                    and mul121666.
+
+No generated function contains an assert or any other branch:
+tests/test_gen_kernels.py rejects every such node.
 
 The modules are split because the parser's transient peak is per module and
 grows with the source's size: tests/test_gen_kernels.py holds every module
@@ -103,13 +108,14 @@ Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 the generator's output byte for byte.
 
 red38 folds the high 32 columns in as 38 (2^256 = 38 mod p) in one carry
-pass, then bits 255 and up as 19 (2^255 = 19 mod p) in a second fixed pass.
-It is linear in its 64 integer columns, which may be negative or exceed a
-byte: for V = sum (m[k] + 38*m[k+32])*2^(8k) it returns (V mod 2^255) +
-19*(V >> 255) as 32 limbs, and its `fold overflow` assert fires when that
+pass, then bits 255 and up as 19 (2^255 = 19 mod p) in a second fixed pass,
+written as one bytes display.  It is linear in its 64 integer columns, which
+may be negative or exceed a byte: for V = sum (m[k] + 38*m[k+32])*2^(8k) it
+returns (V mod 2^255) + 19*(V >> 255) as 32 limbs.  The top limb is left
+unmasked, so bytes() raises ValueError, with or without -O, when that value
 falls outside [0, 2^256).  red19 is the same for 32 columns, as if the high
 half were zero.  mp_arith.red512 calls red38 on a 512-bit product;
-mp_arith.add_mod, sub_mod and fe25519.mul121666 call red19.
+mp_arith.add_mod, sub_mod and mul121666 call red19.
 """
 '''
 
@@ -151,12 +157,13 @@ def _karatsuba(n: int, lo: Col, mid: Col, hi: Col) -> List[str]:
     return cols
 
 
-def _carry_bytes(cols: List[str]) -> List[str]:
-    """The `return` of one carry pass over the columns, as one bytes display."""
+def _carry_bytes(cols: List[str], last: str) -> List[str]:
+    """The `return` of one carry pass over the columns, as one bytes display;
+    the top limb `last` is unmasked, so bytes() rejects it outside [0, 256)."""
     lines = ["    return bytes(("]
     for k, col in enumerate(cols):
         lines.append(f"        (c := {col if k == 0 else f'(c >> 8) + {col}'}) & 255,")
-    lines += ["        c >> 8,", "    ))"]
+    lines += [f"        {last},", "    ))"]
     return lines
 
 
@@ -185,7 +192,8 @@ def _mul256() -> List[str]:
                         ("s", sums_a, sums_b),
                         ("h", _names("a", N, N), _names("b", N, N))):
         lines.append(f"    {_names(block, 2 * N - 1)} = mul16(({x}), ({y}))")
-    lines += _carry_bytes(_karatsuba(N, lambda j: f"l{j}", lambda j: f"s{j}", lambda j: f"h{j}"))
+    lines += _carry_bytes(_karatsuba(N, lambda j: f"l{j}", lambda j: f"s{j}", lambda j: f"h{j}"),
+                          "c >> 8")
     return lines
 
 
@@ -196,7 +204,7 @@ def _sqr256() -> List[str]:
     lines += [f"    l{k} = {_sqr_col('a', k, N)}" for k in range(2 * N - 1)]
     lines += [f"    h{k} = {_sqr_col('a', k, N, N)}" for k in range(2 * N - 1)]
     lines += _carry_bytes(_karatsuba(N, lambda j: f"l{j}", lambda j: _sqr_col("t", j, N),
-                                     lambda j: f"h{j}"))
+                                     lambda j: f"h{j}"), "c >> 8")
     return lines
 
 
@@ -209,14 +217,9 @@ def _red(name: str, width: int) -> List[str]:
         lines.append(f"    c = {col}" if k == 0 else f"    c = (c >> 8) + {col}")
         if k < LIMBS - 1:
             lines.append(f"    r{k} = c & 255")
-    lines += [f"    r{LIMBS - 1} = c & 127",
-              "    c = r0 + 19*(c >> 7)",
-              "    r0 = c & 255"]
-    for k in range(1, LIMBS):
-        lines.append(f"    c = (c >> 8) + r{k}")
-        lines.append(f"    r{k} = c & 255")
-    lines += ['    assert c >> 8 == 0, "fold overflow"',
-              f"    return bytes(({_names('r', LIMBS)}))"]
+    lines.append(f"    r{LIMBS - 1} = c & 127")
+    lines += _carry_bytes(["r0 + 19*(c >> 7)"] + [f"r{k}" for k in range(1, LIMBS - 1)],
+                          f"(c >> 8) + r{LIMBS - 1}")
     return lines
 
 
