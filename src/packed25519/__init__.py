@@ -9,6 +9,8 @@ the lot as a command-line tool.
 
 from . import difftest, fe25519, mp_arith, oracle
 from .ladder import BASE_POINT_U, clamp, cswap, ladderstep, mladder, scalarmult
+# last: PACKED25519_FAULTS rebinds the kernels in every module imported above
+from . import faults
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Straight-line product kernels for mp_arith.mul256.
+"""Straight-line product kernels; mul256 is mp_arith.mul256 itself.
 
 Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 `python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
@@ -104,6 +104,7 @@ def mul16(a, b):
 
 
 def mul256(a, b):
+    """256x256->512-bit product of packed little-endian limbs."""
     a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24, a25, a26, a27, a28, a29, a30, a31 = a
     b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15, b16, b17, b18, b19, b20, b21, b22, b23, b24, b25, b26, b27, b28, b29, b30, b31 = b
     l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, l10, l11, l12, l13, l14, l15, l16, l17, l18, l19, l20, l21, l22, l23, l24, l25, l26, l27, l28, l29, l30 = mul16((a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15), (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15))

@@ -11,12 +11,13 @@ may be negative or exceed a byte: for V = sum (m[k] + 38*m[k+32])*2^(8k) it
 returns (V mod 2^255) + 19*(V >> 255) as 32 limbs.  The top limb is left
 unmasked, so bytes() raises ValueError, with or without -O, when that value
 falls outside [0, 2^256).  red19 is the same for 32 columns, as if the high
-half were zero.  mp_arith.red512 calls red38 on a 512-bit product;
-mp_arith.add_mod, sub_mod and mul121666 call red19.
+half were zero.  mp_arith.red512 is red38 itself, applied to a 512-bit
+product; mp_arith.add_mod, sub_mod and mul121666 call red19.
 """
 
 
 def red38(m):
+    """Reduce 64 columns mod p into 32 limbs; below 2p for a 512-bit product."""
     m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15, m16, m17, m18, m19, m20, m21, m22, m23, m24, m25, m26, m27, m28, m29, m30, m31, m32, m33, m34, m35, m36, m37, m38, m39, m40, m41, m42, m43, m44, m45, m46, m47, m48, m49, m50, m51, m52, m53, m54, m55, m56, m57, m58, m59, m60, m61, m62, m63 = m
     c = m0 + 38*m32
     r0 = c & 255
@@ -119,6 +120,7 @@ def red38(m):
 
 
 def red19(m):
+    """red38 for 32 columns, as if the high half were zero."""
     m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11, m12, m13, m14, m15, m16, m17, m18, m19, m20, m21, m22, m23, m24, m25, m26, m27, m28, m29, m30, m31 = m
     c = m0
     r0 = c & 255

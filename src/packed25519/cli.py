@@ -6,7 +6,7 @@ byte 0, the least significant.  This matches the test-vector notation in
 RFC 7748 itself, *not* big-endian integer notation.
 
 Exit status: 0 on success, 1 when a selftest finds a property violation,
-2 for usage errors (bad hex, unknown suite, bad flags).
+2 for usage errors (bad hex, unknown suite, bad flags, unwritable --json).
 """
 
 import argparse
@@ -100,7 +100,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

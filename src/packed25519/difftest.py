@@ -376,13 +376,13 @@ _SUITES: Dict[str, Callable[[TrialConfig, SuiteResult], None]] = {
 def run_suite(cfg: TrialConfig) -> TrialReport:
     """Run the configured suites and return the full report.
 
-    Configuration problems (non-positive trial count, unknown or empty
-    suite list, out-of-range seed) raise ValueError before anything runs.
+    Configuration problems (a bad trial count or seed, an unknown or empty
+    suite list) raise ValueError before anything runs.
     """
     if not isinstance(cfg.trials, int) or cfg.trials < 1:
         raise ValueError(f"trials must be a positive integer, got {cfg.trials!r}")
-    if not (0 <= cfg.seed < 2**64):
-        raise ValueError(f"seed must fit in 64 bits, got {cfg.seed!r}")
+    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {cfg.seed!r}")
     if not cfg.suites:
         raise ValueError("no suites selected")
     unknown = [s for s in cfg.suites if s not in _SUITES]

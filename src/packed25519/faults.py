@@ -1,17 +1,25 @@
 """Deliberate fault switches for negative-control testing.
 
 The differential harness is only trustworthy if it demonstrably catches
-bugs, so the arithmetic kernels expose named corruption points that flip
-the low bit of their result.  They are off unless names are listed in the
-PACKED25519_FAULTS environment variable (comma-separated) when the package
-is imported, or enabled temporarily through `inject` in tests.
+bugs.  A fault replaces the named `mp_arith` function, in every
+`packed25519.*` namespace that holds it (matched by identity, as perfbench's
+tracer installs its wrappers), with a copy that flips the low bit of limb 0
+of its result; the `subp` copy flips the difference and keeps the borrow.
+No kernel holds a hook.  Bindings made outside the package are not rebound.
+
+Faults are off unless names are listed in the PACKED25519_FAULTS
+environment variable (comma-separated), applied once when the package
+imports this module, or enabled temporarily through `inject` in tests.
 
 Never enable these outside of harness self-checks.
 """
 
 import os
+import sys
 from contextlib import contextmanager
-from typing import FrozenSet, Iterator
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Tuple
+
+from . import mp_arith
 
 KNOWN = frozenset({"add_mod", "mul121666", "mul256", "red512", "sqr256", "sub_mod", "subp"})
 
@@ -28,26 +36,55 @@ def _from_env() -> FrozenSet[str]:
     return names
 
 
+def _flip(limbs: bytes) -> bytes:
+    return bytes((limbs[0] ^ 1,)) + limbs[1:]
+
+
+def _faulty(name: str, fn: Callable) -> Callable:
+    if name == "subp":
+        def faulty(*args):
+            d, borrow = fn(*args)
+            return _flip(d), borrow
+    else:
+        def faulty(*args):
+            return _flip(fn(*args))
+    return faulty
+
+
+def _rebind(names: Iterable[str]) -> List[Tuple[object, str, Callable]]:
+    """Install the faulty copies; return (module, key, original) for each."""
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith(__package__ + ".")]
+    undo = []
+    for name in names:
+        original = getattr(mp_arith, name)
+        faulty = _faulty(name, original)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    setattr(mod, key, faulty)
+                    undo.append((mod, key, original))
+    return undo
+
+
 ACTIVE: FrozenSet[str] = _from_env()
-
-
-def corrupt(name: str, limbs: bytes) -> bytes:
-    """Flip the low bit of limb 0 when the named fault is active."""
-    if name in ACTIVE:
-        return bytes((limbs[0] ^ 1,)) + limbs[1:]
-    return limbs
+_rebind(ACTIVE)
 
 
 @contextmanager
 def inject(*names: str) -> Iterator[None]:
-    """Enable the named faults for the duration of a with-block (tests only)."""
+    """Enable the named faults for the duration of a with-block (tests only).
+
+    An active name is not wrapped again: a second flip would cancel it."""
     global ACTIVE
     unknown = set(names) - KNOWN
     if unknown:
         raise ValueError(f"unknown fault name(s): {sorted(unknown)}")
     saved = ACTIVE
+    undo = _rebind(frozenset(names) - ACTIVE)
     ACTIVE = ACTIVE | frozenset(names)
     try:
         yield
     finally:
         ACTIVE = saved
+        for mod, key, original in undo:
+            setattr(mod, key, original)

@@ -47,17 +47,22 @@ Reduction mod p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod
 p) and the remaining top bits as 19.  One generated routine does it: the
 straight-line `_reduce.red38` carries m[k] + 38*m[k+32] in one pass, folds
 bits 255 and up as 19 and carries a second fixed pass in the same `bytes`
-display that ends mul256.  It is linear in its 64 integer columns, so
-red512 hands it the product.  `_reduce.red19` is the same code for 32
-columns with no high half: add_mod, sub_mod and mul121666 hand it their 32
-column sums.  For the column total V both return (V mod 2^255) +
-19 * (V >> 255): below 2p for every caller, so one conditional subtraction
-canonicalizes.  The display leaves the top limb unmasked, so a total whose
-result falls outside [0, 2^256) makes `bytes()` raise ValueError, with or
-without -O.  This module is the only caller of `_reduce` and the only one
-that knows its column contract.  The linear kernels call red19, so red512
-counts only reductions of products.  `subp` keeps the one hand-written
-carry loop.
+display that ends mul256.  It is linear in its 64 integer columns;
+red512 is red38 itself, applied to the product.  `_reduce.red19` is the
+same code for 32 columns with no high half: add_mod, sub_mod and mul121666
+hand it their 32 column sums.  For the column total V both return
+(V mod 2^255) + 19 * (V >> 255): below 2p for every caller, so one
+conditional subtraction canonicalizes.  The display leaves the top limb
+unmasked, so a total whose result falls outside [0, 2^256) makes `bytes()`
+raise ValueError, with or without -O.  This module is the only one that imports `_reduce` and knows
+its column contract.  The linear kernels call red19, so red512 counts only
+reductions of products.  `subp` keeps the one hand-written carry loop.
+
+mul256, sqr256 and red512 are the generated functions themselves, with no
+wrapper frame: their fixed-width unpack raises ValueError on a wrong length,
+as red19's does for mul121666.  add_mod, sub_mod and subp check lengths,
+because `map` stops silently at the shorter operand.  No function here
+holds a test hook: negative-control faults rebind names from outside.
 
 Control flow never depends on limb values: loops have fixed trip counts and
 carries and borrows are arithmetic, never branches.  (CPython integers are
@@ -67,10 +72,10 @@ not physically constant-time; the discipline here is structural.)
 from operator import add, sub
 from typing import Sequence, Tuple
 
-from . import faults
-from ._kernels import mul256 as _mul256
-from ._reduce import red19, red38
-from ._square import sqr256 as _sqr256
+# mul256, sqr256 and red512 are re-exported: the kernels themselves.
+from ._kernels import mul256
+from ._reduce import red19, red38 as red512
+from ._square import sqr256
 
 P = 2**255 - 19
 P_LIMBS = P.to_bytes(32, "little")
@@ -90,25 +95,6 @@ def value(x: Sequence[int]) -> int:
     return int.from_bytes(bytes(x), "little")
 
 
-def mul256(a: bytes, b: bytes) -> bytes:
-    """256x256->512-bit product of packed little-endian limbs."""
-    _check(a, 32, "mul256 operand")
-    _check(b, 32, "mul256 operand")
-    out = _mul256(a, b)
-    if faults.ACTIVE:
-        out = faults.corrupt("mul256", out)
-    return out
-
-
-def sqr256(a: bytes) -> bytes:
-    """256-bit squaring; same value as mul256(a, a), each cross product once."""
-    _check(a, 32, "sqr256 operand")
-    out = _sqr256(a)
-    if faults.ACTIVE:
-        out = faults.corrupt("sqr256", out)
-    return out
-
-
 def subp(a: bytes) -> Tuple[bytes, int]:
     """(a - p) mod 2^256 together with the borrow flag (1 iff a < p).
 
@@ -121,35 +107,14 @@ def subp(a: bytes) -> Tuple[bytes, int]:
         c += t
         d.append(c & 255)
         c >>= 8
-    out = bytes(d)
-    if faults.ACTIVE:
-        out = faults.corrupt("subp", out)
-    return out, -c
-
-
-def red512(m: bytes) -> bytes:
-    """Reduce a 512-bit value mod p into [0, 2p).
-
-    The high 256 bits fold in as 38 (2^256 ≡ 38 mod p); the bits at 255 and
-    above of that sum fold once more as 19 (2^255 ≡ 19).  The result is
-    below 2^255 + 19*78, comfortably below 2p, so a single conditional
-    subtraction of p canonicalizes it later.
-    """
-    _check(m, 64, "red512 operand")
-    out = red38(m)
-    if faults.ACTIVE:
-        out = faults.corrupt("red512", out)
-    return out
+    return bytes(d), -c
 
 
 def add_mod(a: bytes, b: bytes) -> bytes:
     """a + b with bits 255+ of the sum folded back as 19; result < 2p."""
     _check(a, 32, "add_mod operand")
     _check(b, 32, "add_mod operand")
-    out = red19(map(add, a, b))
-    if faults.ACTIVE:
-        out = faults.corrupt("add_mod", out)
-    return out
+    return red19(map(add, a, b))
 
 
 def sub_mod(a: bytes, b: bytes) -> bytes:
@@ -161,18 +126,11 @@ def sub_mod(a: bytes, b: bytes) -> bytes:
     """
     _check(a, 32, "sub_mod operand")
     _check(b, 32, "sub_mod operand")
-    out = red19(map(sub, map(add, a, _FOURP_COLS), b))
-    if faults.ACTIVE:
-        out = faults.corrupt("sub_mod", out)
-    return out
+    return red19(map(sub, map(add, a, _FOURP_COLS), b))
 
 
 def mul121666(a: bytes) -> bytes:
     """Multiply by the ladder constant 121666 = (A + 2) / 4; result < 2p."""
-    _check(a, 32, "mul121666 operand")
     # V = 121666 * a < 2^273, so V >> 255 < 2^18 and red19's result
     # (V mod 2^255) + 19 * (V >> 255) stays below 2p
-    out = red19([121666 * x for x in a])
-    if faults.ACTIVE:
-        out = faults.corrupt("mul121666", out)
-    return out
+    return red19([121666 * x for x in a])

@@ -91,6 +91,15 @@ def test_selftest_unknown_suite_exits_2(capsys):
     assert "unknown suite" in err
 
 
+def test_selftest_unwritable_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, _, err = run(capsys, "selftest", "--trials", "1", "--suites", "findings",
+                       "--json", str(path))
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not path.exists()
+
+
 def test_selftest_bad_trials_exits_2(capsys):
     code, _, err = run(capsys, "selftest", "--trials", "0")
     assert code == 2

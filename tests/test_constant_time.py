@@ -6,7 +6,7 @@ in order, nested calls included) are hashed into a digest, and every
 function must produce one digest for all of its inputs.  This checks the
 structural claim of the README, in the spirit of ct-verif; it is not a
 timing measurement, since CPython's integer operations are not
-constant-time.  One whole scalarmult (about 1.74 M events, 2 s traced on
+constant-time.  One whole scalarmult (about 1.68 M events, 0.6 s traced on
 CPython 3.11 with 2 shared vCPUs) is also checked, over a few secrets and u
 values.
 """

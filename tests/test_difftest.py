@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from packed25519 import difftest, faults
+from packed25519 import _kernels, _reduce, _square, difftest, faults, fe25519, mp_arith
 from packed25519.difftest import EdgeCorpus, TrialConfig, edge_corpus, run_suite
 
 P = 2**255 - 19
@@ -56,6 +57,8 @@ def test_config_validation_happens_before_running():
         run_suite(TrialConfig(seed=-1))
     with pytest.raises(ValueError):
         run_suite(TrialConfig(seed=2**64))
+    with pytest.raises(ValueError):
+        run_suite(TrialConfig(seed=1.5))
 
 
 def test_suite_subset_runs_only_requested():
@@ -118,3 +121,45 @@ def test_faults_reject_unknown_names():
 
 def test_faults_are_off_by_default():
     assert not faults.ACTIVE
+
+
+def test_kernels_are_re_exported_without_a_wrapper():
+    assert fe25519.mul256 is mp_arith.mul256 is _kernels.mul256
+    assert fe25519.sqr256 is mp_arith.sqr256 is _square.sqr256
+    assert fe25519.red512 is mp_arith.red512 is _reduce.red38
+
+
+def _bindings():
+    return {(name, key): value for name, mod in list(sys.modules.items())
+            if name.startswith("packed25519") for key, value in vars(mod).items()}
+
+
+def _assert_same_objects(before):
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [k for k, v in before.items() if after[k] is not v]
+    assert changed == []
+
+
+def test_inject_restores_every_binding():
+    before = _bindings()
+    with faults.inject(*faults.KNOWN):
+        for name in faults.KNOWN:
+            assert getattr(mp_arith, name) is not before[("packed25519.mp_arith", name)]
+        assert fe25519.add is mp_arith.add_mod
+    _assert_same_objects(before)
+    with pytest.raises(RuntimeError):
+        with faults.inject(*faults.KNOWN):
+            raise RuntimeError("inside the block")
+    _assert_same_objects(before)
+
+
+def test_nested_inject_keeps_the_fault():
+    # a second flip of the same bit would cancel the first
+    red512 = mp_arith.red512
+    with faults.inject("red512"):
+        with faults.inject("red512"):
+            report = run_suite(TrialConfig(trials=2, suites=("findings",)))
+        assert mp_arith.red512 is not red512
+    assert not report.ok
+    assert report.suites["findings"].failures > 0

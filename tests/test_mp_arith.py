@@ -114,6 +114,15 @@ def test_wrong_length_is_rejected():
     with pytest.raises(ValueError):
         mul256(b"\x00" * 31, b"\x00" * 32)
     with pytest.raises(ValueError):
+        mul256(b"\x00" * 32, b"\x00" * 33)
+    with pytest.raises(ValueError):
+        sqr256(b"\x00" * 31)
+    with pytest.raises(ValueError):
+        red512(b"\x00" * 65)
+    for n in (31, 33):
+        with pytest.raises(ValueError):
+            mp_arith.mul121666(b"\x00" * n)
+    with pytest.raises(ValueError):
         sqr256(b"\x00" * 33)
     with pytest.raises(ValueError):
         red512(b"\x00" * 32)

@@ -5,7 +5,7 @@
 Three modules are written, each with its functions spelled out without loops
 so that CPython runs them as a few bytecodes and nothing else.
 
-_kernels.py, behind mp_arith.mul256:
+_kernels.py, whose mul256 is mp_arith.mul256 itself:
 
   mul16(a, b)       the 31 column sums of a 16x16-limb product: column k is
                     the sum of a[i]*b[j] over i + j = k.  Inside, one
@@ -19,7 +19,7 @@ _kernels.py, behind mp_arith.mul256:
                     and 32 with the middle column k taken as
                     s[k] - l[k] - h[k].
 
-_square.py, behind mp_arith.sqr256:
+_square.py, whose sqr256 is mp_arith.sqr256 itself:
 
   sqr256(a)         the same 64 limbs for a*a in one body: the three
                     16-limb square blocks inline (each cross product a[i]*a[j]
@@ -36,14 +36,17 @@ _reduce.py, the one reduction of the field layer:
                     it returns (V mod 2^255) + 19*(V >> 255); its top limb
                     is left unmasked, so bytes() raises ValueError, in every
                     mode, when that falls outside [0, 2^256).  Columns may
-                    be negative or exceed a byte.  Its caller is
-                    mp_arith.red512 (a 512-bit product).
+                    be negative or exceed a byte.  mp_arith.red512 is
+                    this function, applied to a 512-bit product.
   red19(m)          the same for 32 columns, written by the same code with
                     no high half: the callers are mp_arith.add_mod, sub_mod
                     and mul121666.
 
-No generated function contains an assert or any other branch:
-tests/test_gen_kernels.py rejects every such node.
+mp_arith re-exports mul256, sqr256 and red38 (as red512) with no wrapper
+frame, so each carries a one-line docstring and its fixed-width unpack is the
+length check.  No generated function contains an assert or any other branch,
+and none holds a fault hook (packed25519.faults rebinds names from outside):
+tests/test_gen_kernels.py rejects every branch node.
 
 The modules are split because the parser's transient peak is per module and
 grows with the source's size: tests/test_gen_kernels.py holds every module
@@ -64,7 +67,7 @@ H = N // 2  # limbs per inner half of a block
 LIMBS = 2 * N  # limbs of a field element
 
 KERNELS_HEADER = '''\
-"""Straight-line product kernels for mp_arith.mul256.
+"""Straight-line product kernels; mul256 is mp_arith.mul256 itself.
 
 Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 `python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
@@ -86,7 +89,7 @@ negative and needs no carry of its own.
 '''
 
 SQUARE_HEADER = '''\
-"""Straight-line squaring kernel for mp_arith.sqr256.
+"""Straight-line squaring kernel; sqr256 is mp_arith.sqr256 itself.
 
 Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 `python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
@@ -114,8 +117,8 @@ may be negative or exceed a byte: for V = sum (m[k] + 38*m[k+32])*2^(8k) it
 returns (V mod 2^255) + 19*(V >> 255) as 32 limbs.  The top limb is left
 unmasked, so bytes() raises ValueError, with or without -O, when that value
 falls outside [0, 2^256).  red19 is the same for 32 columns, as if the high
-half were zero.  mp_arith.red512 calls red38 on a 512-bit product;
-mp_arith.add_mod, sub_mod and mul121666 call red19.
+half were zero.  mp_arith.red512 is red38 itself, applied to a 512-bit
+product; mp_arith.add_mod, sub_mod and mul121666 call red19.
 """
 '''
 
@@ -186,6 +189,7 @@ def _mul256() -> List[str]:
     sums_a = ", ".join(f"a{i} + a{i + N}" for i in range(N))
     sums_b = ", ".join(f"b{i} + b{i + N}" for i in range(N))
     lines = ["def mul256(a, b):",
+             '    """256x256->512-bit product of packed little-endian limbs."""',
              f"    {_names('a', LIMBS)} = a",
              f"    {_names('b', LIMBS)} = b"]
     for block, x, y in (("l", _names("a", N), _names("b", N)),
@@ -199,6 +203,7 @@ def _mul256() -> List[str]:
 
 def _sqr256() -> List[str]:
     lines = ["def sqr256(a):",
+             '    """256-bit squaring; same value as mul256(a, a), each cross product once."""',
              f"    {_names('a', LIMBS)} = a"]
     lines += [f"    t{i} = a{i} + a{i + N}" for i in range(N)]
     lines += [f"    l{k} = {_sqr_col('a', k, N)}" for k in range(2 * N - 1)]
@@ -208,9 +213,10 @@ def _sqr256() -> List[str]:
     return lines
 
 
-def _red(name: str, width: int) -> List[str]:
+def _red(name: str, width: int, doc: str) -> List[str]:
     """Reduction of `width` columns (64 for red38, 32 for red19)."""
     lines = [f"def {name}(m):",
+             f'    """{doc}"""',
              f"    {_names('m', width)} = m"]
     for k in range(LIMBS):
         col = f"m{k} + 38*m{k + LIMBS}" if width > LIMBS else f"m{k}"
@@ -232,7 +238,11 @@ def render() -> Dict[Path, str]:
     return {
         KERNELS: _module(KERNELS_HEADER, [_mul16(), _mul256()]),
         SQUARE: _module(SQUARE_HEADER, [_sqr256()]),
-        REDUCE: _module(REDUCE_HEADER, [_red("red38", 2 * LIMBS), _red("red19", LIMBS)]),
+        REDUCE: _module(REDUCE_HEADER, [
+            _red("red38", 2 * LIMBS,
+                 "Reduce 64 columns mod p into 32 limbs; below 2p for a 512-bit product."),
+            _red("red19", LIMBS, "red38 for 32 columns, as if the high half were zero."),
+        ]),
     }
 
 
