@@ -9,8 +9,9 @@ of p: one subp plus one masked move, no loop.
 Selection (`cmov`) is arithmetic masking; nothing here branches on data.
 """
 
-from .mp_arith import P, mul121666, mul256, red512, sqr256, sub_mod, subp
-# add and sub are the mp_arith kernels themselves, with no wrapper frame.
+# add, sub, mul121666 and cmov are the mp_arith kernels themselves, with no
+# wrapper frame.
+from .mp_arith import P, cmov, mul121666, mul256, red512, sqr256, sub_mod, subp
 from .mp_arith import add_mod as add, sub_mod as sub
 
 FieldElem = bytes
@@ -38,12 +39,6 @@ def mul(a: FieldElem, b: FieldElem) -> FieldElem:
 
 def square(a: FieldElem) -> FieldElem:
     return red512(sqr256(a))
-
-
-def cmov(a: FieldElem, b: FieldElem, c: int) -> FieldElem:
-    """Return a when c = 0, b when c = 1, via masked moves (no branch on c)."""
-    mask = -c & 255
-    return bytes(x ^ ((x ^ y) & mask) for x, y in zip(a, b))
 
 
 def freeze(a: FieldElem) -> FieldElem:

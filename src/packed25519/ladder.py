@@ -77,10 +77,11 @@ def ladderstep(xp: FieldElem, r0: Ratio, r1: Ratio) -> Tuple[Ratio, Ratio]:
 def mladder(n: int, xp: FieldElem) -> Ratio:
     """Ratio for x(n * P) where P has x-coordinate xp, for clamped n.
 
-    Iterates bits 254..0 (the first byte round starts at bit 6, all later
-    rounds at bit 7, for 255 steps total).  Instead of swapping back after
-    every step, each iteration swaps by bit XOR previous-bit; since clamped
-    scalars are even, no final un-swap is needed.
+    One loop over bits 254..0, 255 steps.  The AVR code nests a bit loop
+    inside a byte loop (the first byte round starts at bit 6); the bits and
+    the swaps are the same.  Instead of swapping back after every step, each
+    iteration swaps by bit XOR previous-bit; since clamped scalars are even,
+    no final un-swap is needed.
 
     Callers must clamp first: n even, bit 254 set, bit 255 clear.  An odd n
     is not rejected but leaves the registers un-swapped, so the returned
@@ -93,16 +94,11 @@ def mladder(n: int, xp: FieldElem) -> Ratio:
     r0: Ratio = (fe25519.setone(), fe25519.setzero())
     r1: Ratio = (xp, fe25519.setone())
     prev = 0
-    j = 6
-    for i in range(31, -1, -1):
-        while j >= 0:
-            bit = (n >> (8 * i + j)) & 1
-            swap = bit ^ prev
-            prev = bit
-            r0, r1 = cswap(r0, r1, swap)
-            r0, r1 = ladderstep(xp, r0, r1)
-            j -= 1
-        j = 7
+    for i in range(254, -1, -1):
+        bit = (n >> i) & 1
+        r0, r1 = cswap(r0, r1, bit ^ prev)
+        prev = bit
+        r0, r1 = ladderstep(xp, r0, r1)
     return r0
 
 

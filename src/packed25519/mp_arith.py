@@ -6,6 +6,13 @@ has to do real carry and borrow propagation at byte boundaries, which is
 where the interesting bugs live, and it keeps the structure in one-to-one
 correspondence with unrolled 8-bit machine code.
 
+Every kernel here is a straight-line function emitted by
+tools/gen_kernels.py and re-exported with no wrapper frame: its fixed-width
+unpack raises ValueError on a wrong length, in every mode, and each one ends
+in the same carry display, a `bytes` of `(c := (c >> 8) + col) & 255`
+entries.  No function holds a test hook: negative-control faults rebind
+names from outside.
+
 Multiplication is product scanning (Comba) over 16-limb blocks with one
 level of additive Karatsuba.  Split a = a0 + 2^128 a1 and b likewise; the
 straight-line kernel `mul16` gives the 31 column sums of one block product
@@ -21,8 +28,7 @@ sign mask.  `mul16` itself does a second additive level over 8-limb
 halves: 192 products instead of 256, with inner half sums up to 1020.
 Squaring is `_square.sqr256`, one flat body with the same outer level: it
 writes each cross product a[i]*a[j] (i < j) once and doubles it, and its
-three 16-limb square blocks sit inline (408 products).  The kernels are
-emitted by tools/gen_kernels.py.
+three 16-limb square blocks sit inline (408 products).
 
 The kernels are split over modules because of compile memory: no bytecode
 cache is written where PYTHONDONTWRITEBYTECODE is set, so every process
@@ -44,93 +50,36 @@ none of the lists and calls that the paper's recursive tree cost in
 CPython.
 
 Reduction mod p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod
-p) and the remaining top bits as 19.  One generated routine does it: the
-straight-line `_reduce.red38` carries m[k] + 38*m[k+32] in one pass, folds
-bits 255 and up as 19 and carries a second fixed pass in the same `bytes`
-display that ends mul256.  It is linear in its 64 integer columns;
-red512 is red38 itself, applied to the product.  `_reduce.red19` is the
-same code for 32 columns with no high half: add_mod, sub_mod and mul121666
-hand it their 32 column sums.  For the column total V both return
-(V mod 2^255) + 19 * (V >> 255): below 2p for every caller, so one
-conditional subtraction canonicalizes.  The display leaves the top limb
-unmasked, so a total whose result falls outside [0, 2^256) makes `bytes()`
-raise ValueError, with or without -O.  This module is the only one that imports `_reduce` and knows
-its column contract.  The linear kernels call red19, so red512 counts only
-reductions of products.  `subp` keeps the one hand-written carry loop.
+p) and the remaining top bits as 19.  One template writes every reduction:
+a carry pass over 32 column expressions, the fold of bits 255 and up as 19
+and a second fixed pass in the same `bytes` display that ends mul256.  For
+the column total V each returns (V mod 2^255) + 19 * (V >> 255): below 2p
+for every caller, so one conditional subtraction canonicalizes.  red512 is
+`_reduce.red38`, whose column k is m[k] + 38*m[k+32]; `add_mod` takes
+a[k] + b[k], `sub_mod` a[k] - b[k] + 4p[k] (4p exceeds every 256-bit
+operand, so the total is positive) and `mul121666` 121666*a[k].  The
+display leaves the top limb unmasked, so a total whose result falls outside
+[0, 2^256) makes `bytes()` raise ValueError, with or without -O.  The linear
+kernels do not call red512, so red512 counts only reductions of products.
+`subp` is one carry display over a[k] - p[k] with every limb masked, and
+`cmov` a masked move per limb; both are in `_linear` with `mul121666`.
 
-mul256, sqr256 and red512 are the generated functions themselves, with no
-wrapper frame: their fixed-width unpack raises ValueError on a wrong length,
-as red19's does for mul121666.  add_mod, sub_mod and subp check lengths,
-because `map` stops silently at the shorter operand.  No function here
-holds a test hook: negative-control faults rebind names from outside.
-
-Control flow never depends on limb values: loops have fixed trip counts and
-carries and borrows are arithmetic, never branches.  (CPython integers are
-not physically constant-time; the discipline here is structural.)
+Control flow never depends on limb values: the generated code has no branch
+or loop, and carries and borrows are arithmetic.  (CPython integers are not
+physically constant-time; the discipline here is structural.)
 """
 
-from operator import add, sub
-from typing import Sequence, Tuple
+from typing import Sequence
 
-# mul256, sqr256 and red512 are re-exported: the kernels themselves.
+# The kernels themselves, re-exported.
 from ._kernels import mul256
-from ._reduce import red19, red38 as red512
+from ._linear import cmov, mul121666, subp
+from ._reduce import add_mod, red38 as red512, sub_mod
 from ._square import sqr256
 
 P = 2**255 - 19
-P_LIMBS = P.to_bytes(32, "little")
-# 4p = 2^257 - 76 as 32 integer columns: one value of the right congruence
-# class that is larger than any 256-bit input, so subtraction never goes
-# negative.
-_FOURP_COLS = (180,) + (255,) * 30 + (511,)
-
-
-def _check(x: Sequence[int], n: int, what: str) -> None:
-    if len(x) != n:
-        raise ValueError(f"{what} must have exactly {n} limbs, got {len(x)}")
 
 
 def value(x: Sequence[int]) -> int:
     """Integer denoted by a little-endian limb sequence."""
     return int.from_bytes(bytes(x), "little")
-
-
-def subp(a: bytes) -> Tuple[bytes, int]:
-    """(a - p) mod 2^256 together with the borrow flag (1 iff a < p).
-
-    A column may be negative: `>> 8` floors, so a borrow is a carry of -1.
-    """
-    _check(a, 32, "subp operand")
-    d = []
-    c = 0
-    for t in map(sub, a, P_LIMBS):
-        c += t
-        d.append(c & 255)
-        c >>= 8
-    return bytes(d), -c
-
-
-def add_mod(a: bytes, b: bytes) -> bytes:
-    """a + b with bits 255+ of the sum folded back as 19; result < 2p."""
-    _check(a, 32, "add_mod operand")
-    _check(b, 32, "add_mod operand")
-    return red19(map(add, a, b))
-
-
-def sub_mod(a: bytes, b: bytes) -> bytes:
-    """a - b computed as a + 4p - b, folded like add_mod; result < 2p.
-
-    4p exceeds every 256-bit input, so a + 4p - b is positive and needs no
-    sign-dependent control flow.  The columns a[i] + 4p[i] - b[i] may be
-    negative; red19's carry pass floors.
-    """
-    _check(a, 32, "sub_mod operand")
-    _check(b, 32, "sub_mod operand")
-    return red19(map(sub, map(add, a, _FOURP_COLS), b))
-
-
-def mul121666(a: bytes) -> bytes:
-    """Multiply by the ladder constant 121666 = (A + 2) / 4; result < 2p."""
-    # V = 121666 * a < 2^273, so V >> 255 < 2^18 and red19's result
-    # (V mod 2^255) + 19 * (V >> 255) stays below 2p
-    return red19([121666 * x for x in a])

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from packed25519 import _kernels, _reduce, _square, difftest, faults, fe25519, mp_arith
+from packed25519 import _kernels, _linear, _reduce, _square, difftest, faults, fe25519, mp_arith
 from packed25519.difftest import EdgeCorpus, TrialConfig, edge_corpus, run_suite
 
 P = 2**255 - 19
@@ -127,6 +127,11 @@ def test_kernels_are_re_exported_without_a_wrapper():
     assert fe25519.mul256 is mp_arith.mul256 is _kernels.mul256
     assert fe25519.sqr256 is mp_arith.sqr256 is _square.sqr256
     assert fe25519.red512 is mp_arith.red512 is _reduce.red38
+    assert fe25519.add is mp_arith.add_mod is _reduce.add_mod
+    assert fe25519.sub is mp_arith.sub_mod is _reduce.sub_mod
+    assert fe25519.mul121666 is mp_arith.mul121666 is _linear.mul121666
+    assert fe25519.subp is mp_arith.subp is _linear.subp
+    assert fe25519.cmov is mp_arith.cmov is _linear.cmov
 
 
 def _bindings():

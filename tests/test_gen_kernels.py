@@ -26,7 +26,7 @@ def _generator():
 
 def test_committed_kernels_match_generator_byte_for_byte():
     rendered = _generator().render()
-    assert sorted(p.name for p in rendered) == ["_kernels.py", "_reduce.py", "_square.py"]
+    assert sorted(p.name for p in rendered) == ["_kernels.py", "_linear.py", "_reduce.py", "_square.py"]
     for path, text in rendered.items():
         assert path.read_bytes() == text.encode("utf-8"), f"{path.name} is stale"
 

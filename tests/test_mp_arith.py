@@ -3,16 +3,19 @@
 Expected values come from Python's own integers, which are the independent
 oracle for everything in this file; the packed kernels never see them."""
 
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from packed25519 import mp_arith
-from packed25519._reduce import red19, red38
-from packed25519.mp_arith import P, add_mod, mul256, red512, sqr256, sub_mod, subp, value
+from packed25519.mp_arith import (P, add_mod, cmov, mul121666, mul256, red512, sqr256, sub_mod,
+                                  subp, value)
 
 TWO_P = 2 * P
+GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "gen_kernels.py"
+FOURP = runpy.run_path(str(GENERATOR))["FOURP"]  # sub_mod's 32 columns of 4p
 
 
 def le(v, n=32):
@@ -72,37 +75,40 @@ def test_red512_fold_constants():
 
 
 def test_red38_column_contract():
-    # red38 is linear in 64 integer columns of any sign: for the total V it
-    # returns (V mod 2^255) + 19 * (V >> 255), which must lie in [0, 2^256);
-    # red19 is the same on 32 columns, as red38 with a zero high half
-    assert value(red38((-1,) + (0,) * 63)) == P - 1
-    for cols in ((-1,) + (0,) * 31, (0,) * 32, (255,) * 32, (510,) * 32,
-                 (121666 * 255,) * 32, mp_arith._FOURP_COLS,
-                 tuple(c - 255 for c in mp_arith._FOURP_COLS), (0,) * 31 + (-127,)):
-        assert red19(cols) == red38(cols + (0,) * 32), cols
-    assert value(red19((-1,) + (0,) * 31)) == P - 1
+    # every reduction is linear in integer columns of any sign: for the total
+    # V it returns (V mod 2^255) + 19 * (V >> 255), which must lie in
+    # [0, 2^256); add_mod, sub_mod and mul121666 are red38 on their own 32
+    # columns with a zero high half
+    assert value(red512((-1,) + (0,) * 63)) == P - 1
+    assert value(red512((0,) * 31 + (-127,) + (0,) * 32)) == 2**248 - 19  # V = -127 * 2^248
+    zero, one, top = le(0), le(1), le(2**256 - 1)
+    for a, b in ((zero, zero), (top, zero), (top, top), (zero, top), (top, one)):
+        assert add_mod(a, b) == red512(tuple(x + y for x, y in zip(a, b)) + (0,) * 32)
+        assert sub_mod(a, b) == red512(tuple(x - y + f for x, y, f in zip(a, b, FOURP)) + (0,) * 32)
+        assert mul121666(a) == red512(tuple(121666 * x for x in a) + (0,) * 32)
+    assert value(sub_mod(zero, one)) == P - 1
     for overflow in ((0,) * 31 + (2**300,),
                      (5,) + (0,) * 30 + (-128,)):  # V = -2^255 + 5
-        for red, cols in ((red38, overflow + (0,) * 32), (red19, overflow)):
+        for fn, args in ((red512, (overflow + (0,) * 32,)), (add_mod, (overflow, (0,) * 32))):
             with pytest.raises(ValueError, match=r"bytes must be in range\(0, 256\)"):
-                red(cols)
+                fn(*args)
     # sub_mod's offset columns denote 4p
-    assert sum(c << 8 * k for k, c in enumerate(mp_arith._FOURP_COLS)) == 4 * P
-    # the callers of red19, at the extremes of their totals
-    top = 2**256 - 1
-    for got, want in ((mp_arith.mul121666(le(top)), 121666 * top),
-                      (add_mod(le(top), le(top)), 2 * top),
-                      (sub_mod(le(top), le(0)), top),
-                      (sub_mod(le(0), le(top)), -top)):
+    assert sum(c << 8 * k for k, c in enumerate(FOURP)) == 4 * P
+    # the linear kernels, at the extremes of their totals
+    for got, want in ((mul121666(top), 121666 * (2**256 - 1)),
+                      (add_mod(top, top), 2 * (2**256 - 1)),
+                      (sub_mod(top, zero), 2**256 - 1),
+                      (sub_mod(zero, top), -(2**256 - 1))):
         assert value(got) % P == want % P
         assert value(got) < TWO_P
 
 
 def test_red_overflow_is_rejected_under_O():
     # the overflow check is bytes()'s own range check, so -O keeps it
-    code = ("from packed25519._reduce import red19, red38\n"
-            "for red, pad in ((red19, 0), (red38, 32)):\n"
-            "    try:\n        red((0,) * 31 + (2**300,) + (0,) * pad)\n"
+    code = ("from packed25519.mp_arith import add_mod, red512\n"
+            "big = (0,) * 31 + (2**300,)\n"
+            "for fn, args in ((add_mod, (big, (0,) * 32)), (red512, (big + (0,) * 32,))):\n"
+            "    try:\n        fn(*args)\n"
             "    except ValueError as e:\n        print(e)\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
@@ -121,13 +127,17 @@ def test_wrong_length_is_rejected():
         red512(b"\x00" * 65)
     for n in (31, 33):
         with pytest.raises(ValueError):
-            mp_arith.mul121666(b"\x00" * n)
+            mul121666(b"\x00" * n)
+        for operands in ((b"\x00" * n, b"\x00" * 32), (b"\x00" * 32, b"\x00" * n)):
+            with pytest.raises(ValueError):
+                cmov(*operands, 0)
     with pytest.raises(ValueError):
         sqr256(b"\x00" * 33)
     with pytest.raises(ValueError):
         red512(b"\x00" * 32)
-    with pytest.raises(ValueError):
-        subp(b"")
+    for n in (0, 33):
+        with pytest.raises(ValueError):
+            subp(b"\x00" * n)
     with pytest.raises(ValueError):
         add_mod(b"\x00" * 32, b"\x00" * 16)
     with pytest.raises(ValueError):

@@ -2,8 +2,11 @@
 
     python tools/gen_kernels.py
 
-Three modules are written, each with its functions spelled out without loops
-so that CPython runs them as a few bytecodes and nothing else.
+Every kernel of mp_arith is written here, spelled out without loops so that
+CPython runs it as a few bytecodes and nothing else.  mp_arith re-exports
+each one with no wrapper frame, so each carries a one-line docstring and its
+fixed-width unpack is the length check: a wrong length raises ValueError in
+every mode.  Four modules are written.
 
 _kernels.py, whose mul256 is mp_arith.mul256 itself:
 
@@ -26,26 +29,27 @@ _square.py, whose sqr256 is mp_arith.sqr256 itself:
                     with i < j written once and doubled, 408 products) and
                     the same carry display.
 
-_reduce.py, the one reduction of the field layer:
+_reduce.py and _linear.py, the reductions mod p and the linear kernels.
+One template writes every reduction: given 32 column expressions, it carries
+them in one pass, folds bits 255 and up in as 19 and carries a second fixed
+pass, the same carry display that ends mul256 and sqr256.  For the column
+total V it returns (V mod 2^255) + 19*(V >> 255); the top limb is left
+unmasked, so bytes() raises ValueError, in every mode, when that falls
+outside [0, 2^256).  Columns may be negative or exceed a byte.
 
-  red38(m)          64 integer columns reduced mod 2^255 - 19 into 32
-                    limbs: one carry pass over m[k] + 38*m[k+32], then bits
-                    255 and up folded in as 19 and a second carry pass, the
-                    same carry display that ends mul256 and sqr256.
-                    For the column total V = sum (m[k] + 38*m[k+32])*2^(8k)
-                    it returns (V mod 2^255) + 19*(V >> 255); its top limb
-                    is left unmasked, so bytes() raises ValueError, in every
-                    mode, when that falls outside [0, 2^256).  Columns may
-                    be negative or exceed a byte.  mp_arith.red512 is
-                    this function, applied to a 512-bit product.
-  red19(m)          the same for 32 columns, written by the same code with
-                    no high half: the callers are mp_arith.add_mod, sub_mod
-                    and mul121666.
+  red38(m)          column k is m[k] + 38*m[k+32]: 64 columns, the high half
+                    folded in as 38.  mp_arith.red512 is this function.
+  add_mod(a, b)     column k is a[k] + b[k].
+  sub_mod(a, b)     column k is a[k] - b[k] + 4*p[k]: 4p is larger than any
+                    256-bit operand, so V is positive.
+  mul121666(a)      column k is 121666*a[k]: V < 2^273, so V >> 255 < 2^18
+                    and the result stays below 2p.
+  subp(a)           (a - p) mod 2^256 and the borrow: one carry display over
+                    a[k] - p[k] with every limb masked, then -(c >> 8).
+  cmov(a, b, c)     a[k] ^ ((a[k] ^ b[k]) & m) for the mask m = -c & 255.
 
-mp_arith re-exports mul256, sqr256 and red38 (as red512) with no wrapper
-frame, so each carries a one-line docstring and its fixed-width unpack is the
-length check.  No generated function contains an assert or any other branch,
-and none holds a fault hook (packed25519.faults rebinds names from outside):
+No generated function contains an assert or any other branch, and none holds
+a fault hook (packed25519.faults rebinds names from outside):
 tests/test_gen_kernels.py rejects every branch node.
 
 The modules are split because the parser's transient peak is per module and
@@ -62,9 +66,13 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "packed25519"
 KERNELS = PACKAGE / "_kernels.py"
 SQUARE = PACKAGE / "_square.py"
 REDUCE = PACKAGE / "_reduce.py"
+LINEAR = PACKAGE / "_linear.py"
 N = 16  # limbs per block
 H = N // 2  # limbs per inner half of a block
 LIMBS = 2 * N  # limbs of a field element
+P = 2**255 - 19
+P_LIMBS = P.to_bytes(LIMBS, "little")
+FOURP = tuple(4 * x for x in P_LIMBS)  # 4p as 32 columns, for sub_mod
 
 KERNELS_HEADER = '''\
 """Straight-line product kernels; mul256 is mp_arith.mul256 itself.
@@ -104,21 +112,37 @@ mul256 because the parser's transient peak is per module.
 '''
 
 REDUCE_HEADER = '''\
-"""Straight-line reduction mod p = 2^255 - 19 for the whole field layer.
+"""Straight-line reductions mod p = 2^255 - 19: red38, add_mod and sub_mod.
 
 Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 `python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
 the generator's output byte for byte.
 
-red38 folds the high 32 columns in as 38 (2^256 = 38 mod p) in one carry
-pass, then bits 255 and up as 19 (2^255 = 19 mod p) in a second fixed pass,
-written as one bytes display.  It is linear in its 64 integer columns, which
-may be negative or exceed a byte: for V = sum (m[k] + 38*m[k+32])*2^(8k) it
-returns (V mod 2^255) + 19*(V >> 255) as 32 limbs.  The top limb is left
-unmasked, so bytes() raises ValueError, with or without -O, when that value
-falls outside [0, 2^256).  red19 is the same for 32 columns, as if the high
-half were zero.  mp_arith.red512 is red38 itself, applied to a 512-bit
-product; mp_arith.add_mod, sub_mod and mul121666 call red19.
+Each function carries 32 integer columns in one pass, folds bits 255 and up
+in as 19 (2^255 = 19 mod p) and carries a second fixed pass, written as one
+bytes display.  Columns may be negative or exceed a byte: for the column
+total V the result is (V mod 2^255) + 19*(V >> 255) as 32 limbs.  The top
+limb is left unmasked, so bytes() raises ValueError, with or without -O,
+when that value falls outside [0, 2^256).  red38's column k is
+m[k] + 38*m[k+32] (2^256 = 38 mod p), add_mod's a[k] + b[k] and sub_mod's
+a[k] - b[k] + 4p[k].  mp_arith.red512 is red38 itself; add_mod and sub_mod
+are mp_arith's own.
+"""
+'''
+
+LINEAR_HEADER = '''\
+"""Straight-line linear kernels: mul121666, subp and cmov.
+
+Generated by tools/gen_kernels.py; do not edit.  Regenerate with
+`python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
+the generator's output byte for byte.
+
+mul121666 is the reduction of _reduce.py on the columns 121666*a[k].  subp
+carries a[k] - p[k] in one display with every limb masked and returns the
+borrow -(c >> 8) beside it: `>> 8` floors, so a borrow is a carry of -1.
+cmov moves b into a under the mask -c & 255, limb by limb.  mp_arith
+re-exports all three, and fe25519.cmov is cmov itself.  They live apart
+from _reduce.py because the parser's transient peak is per module.
 """
 '''
 
@@ -127,6 +151,11 @@ Col = Callable[[int], str]
 
 def _names(prefix: str, n: int, start: int = 0) -> str:
     return ", ".join(f"{prefix}{i}" for i in range(start, start + n))
+
+
+def _head(signature: str, doc: str, operands: str, width: int = LIMBS) -> List[str]:
+    """The def line, the docstring and a fixed-width unpack of each operand."""
+    return [f"def {signature}:", f'    """{doc}"""'] + [f"    {_names(x, width)} = {x}" for x in operands]
 
 
 def _mul_col(x: str, y: str, k: int, n: int, start: int = 0) -> str:
@@ -160,14 +189,15 @@ def _karatsuba(n: int, lo: Col, mid: Col, hi: Col) -> List[str]:
     return cols
 
 
+def _carry(cols: List[str]) -> List[str]:
+    """The entries of one carry pass over the columns, each masked to a byte."""
+    return [f"        (c := {col if k == 0 else f'(c >> 8) + {col}'}) & 255," for k, col in enumerate(cols)]
+
+
 def _carry_bytes(cols: List[str], last: str) -> List[str]:
     """The `return` of one carry pass over the columns, as one bytes display;
     the top limb `last` is unmasked, so bytes() rejects it outside [0, 256)."""
-    lines = ["    return bytes(("]
-    for k, col in enumerate(cols):
-        lines.append(f"        (c := {col if k == 0 else f'(c >> 8) + {col}'}) & 255,")
-    lines += [f"        {last},", "    ))"]
-    return lines
+    return ["    return bytes(("] + _carry(cols) + [f"        {last},", "    ))"]
 
 
 def _mul16() -> List[str]:
@@ -188,10 +218,7 @@ def _mul16() -> List[str]:
 def _mul256() -> List[str]:
     sums_a = ", ".join(f"a{i} + a{i + N}" for i in range(N))
     sums_b = ", ".join(f"b{i} + b{i + N}" for i in range(N))
-    lines = ["def mul256(a, b):",
-             '    """256x256->512-bit product of packed little-endian limbs."""',
-             f"    {_names('a', LIMBS)} = a",
-             f"    {_names('b', LIMBS)} = b"]
+    lines = _head("mul256(a, b)", "256x256->512-bit product of packed little-endian limbs.", "ab")
     for block, x, y in (("l", _names("a", N), _names("b", N)),
                         ("s", sums_a, sums_b),
                         ("h", _names("a", N, N), _names("b", N, N))):
@@ -202,9 +229,7 @@ def _mul256() -> List[str]:
 
 
 def _sqr256() -> List[str]:
-    lines = ["def sqr256(a):",
-             '    """256-bit squaring; same value as mul256(a, a), each cross product once."""',
-             f"    {_names('a', LIMBS)} = a"]
+    lines = _head("sqr256(a)", "256-bit squaring; same value as mul256(a, a), each cross product once.", "a")
     lines += [f"    t{i} = a{i} + a{i + N}" for i in range(N)]
     lines += [f"    l{k} = {_sqr_col('a', k, N)}" for k in range(2 * N - 1)]
     lines += [f"    h{k} = {_sqr_col('a', k, N, N)}" for k in range(2 * N - 1)]
@@ -213,20 +238,29 @@ def _sqr256() -> List[str]:
     return lines
 
 
-def _red(name: str, width: int, doc: str) -> List[str]:
-    """Reduction of `width` columns (64 for red38, 32 for red19)."""
-    lines = [f"def {name}(m):",
-             f'    """{doc}"""',
-             f"    {_names('m', width)} = m"]
+def _red(head: List[str], col: Col) -> List[str]:
+    """The reduction mod p of the 32 columns col(0), ..., col(31)."""
+    lines = list(head)
     for k in range(LIMBS):
-        col = f"m{k} + 38*m{k + LIMBS}" if width > LIMBS else f"m{k}"
-        lines.append(f"    c = {col}" if k == 0 else f"    c = (c >> 8) + {col}")
+        lines.append(f"    c = {col(k)}" if k == 0 else f"    c = (c >> 8) + {col(k)}")
         if k < LIMBS - 1:
             lines.append(f"    r{k} = c & 255")
     lines.append(f"    r{LIMBS - 1} = c & 127")
     lines += _carry_bytes(["r0 + 19*(c >> 7)"] + [f"r{k}" for k in range(1, LIMBS - 1)],
                           f"(c >> 8) + r{LIMBS - 1}")
     return lines
+
+
+def _subp() -> List[str]:
+    return (_head("subp(a)", "(a - p) mod 2^256 together with the borrow flag (1 iff a < p).", "a")
+            + ["    return bytes(("] + _carry([f"a{k} - {P_LIMBS[k]}" for k in range(LIMBS)])
+            + ["    )), -(c >> 8)"])
+
+
+def _cmov() -> List[str]:
+    return (_head("cmov(a, b, c)", "a when c = 0, b when c = 1, via masked moves (no branch on c).", "ab")
+            + ["    m = -c & 255", "    return bytes(("]
+            + [f"        a{k} ^ ((a{k} ^ b{k}) & m)," for k in range(LIMBS)] + ["    ))"])
 
 
 def _module(header: str, blocks: List[List[str]]) -> str:
@@ -239,9 +273,18 @@ def render() -> Dict[Path, str]:
         KERNELS: _module(KERNELS_HEADER, [_mul16(), _mul256()]),
         SQUARE: _module(SQUARE_HEADER, [_sqr256()]),
         REDUCE: _module(REDUCE_HEADER, [
-            _red("red38", 2 * LIMBS,
-                 "Reduce 64 columns mod p into 32 limbs; below 2p for a 512-bit product."),
-            _red("red19", LIMBS, "red38 for 32 columns, as if the high half were zero."),
+            _red(_head("red38(m)", "Reduce 64 columns mod p into 32 limbs; below 2p for a 512-bit product.",
+                       "m", 2 * LIMBS), lambda k: f"m{k} + 38*m{k + LIMBS}"),
+            _red(_head("add_mod(a, b)", "a + b with bits 255+ of the sum folded back as 19; result < 2p.",
+                       "ab"), lambda k: f"a{k} + b{k}"),
+            _red(_head("sub_mod(a, b)", "a - b computed as a + 4p - b, folded like add_mod; result < 2p.",
+                       "ab"), lambda k: f"a{k} - b{k} + {FOURP[k]}"),
+        ]),
+        LINEAR: _module(LINEAR_HEADER, [
+            _red(_head("mul121666(a)", "Multiply by the ladder constant 121666 = (A + 2) / 4; result < 2p.",
+                       "a"), lambda k: f"121666*a{k}"),
+            _subp(),
+            _cmov(),
         ]),
     }
 
