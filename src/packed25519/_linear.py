@@ -4,7 +4,9 @@ Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 `python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
 the generator's output byte for byte.
 
-mul121666 is the reduction of _reduce.py on the columns 121666*a[k].  subp
+mul121666 carries the columns 121666*a[k] once and then applies the
+reduction of _reduce.py to the carried limbs: its columns reach 2^25, too
+large for one pass to leave the top limb a byte.  subp
 carries a[k] - p[k] in one display with every limb masked and returns the
 borrow -(c >> 8) beside it: `>> 8` floors, so a borrow is a carry of -1.
 cmov moves b into a under the mask -c & 255, limb by limb.  mp_arith
@@ -78,10 +80,9 @@ def mul121666(a):
     r29 = c & 255
     c = (c >> 8) + 121666*a30
     r30 = c & 255
-    c = (c >> 8) + 121666*a31
-    r31 = c & 127
+    t = (c >> 8) + 121666*a31
     return bytes((
-        (c := r0 + 19*(c >> 7)) & 255,
+        (c := r0 + 19*(t >> 7)) & 255,
         (c := (c >> 8) + r1) & 255,
         (c := (c >> 8) + r2) & 255,
         (c := (c >> 8) + r3) & 255,
@@ -112,7 +113,7 @@ def mul121666(a):
         (c := (c >> 8) + r28) & 255,
         (c := (c >> 8) + r29) & 255,
         (c := (c >> 8) + r30) & 255,
-        (c >> 8) + r31,
+        (c >> 8) + (t & 127),
     ))
 
 

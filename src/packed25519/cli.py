@@ -50,7 +50,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     cfg = difftest.TrialConfig(seed=args.seed, trials=args.trials, suites=suites)
     report = difftest.run_suite(cfg)
     for name, res in report.suites.items():
-        print(f"suite {name:<11} cases={res.cases:<7} failures={res.failures}")
+        print(f"suite {name:<11} cases={res.cases:<7} failures={res.failures:<5} "
+              f"{res.elapsed_s:8.3f}s {res.checks_per_s:9.0f} checks/s")
         if res.counterexample is not None:
             print(f"  first counterexample: {res.counterexample}")
     status = "PASS" if report.ok else "FAIL"

@@ -80,12 +80,18 @@ class TrialConfig:
 
 @dataclass
 class SuiteResult:
-    """A suite's tally: checks run, failures, and the first failure's text."""
+    """A suite's tally: checks run, failures, the first failure's text and
+    the suite's wall time."""
 
     name: str
     cases: int = 0
     failures: int = 0
     counterexample: Optional[str] = None
+    elapsed_s: float = 0.0
+
+    @property
+    def checks_per_s(self) -> float:
+        return self.cases / self.elapsed_s if self.elapsed_s else 0.0
 
     def check(self, ok: bool, describe: Callable[[], str]) -> None:
         self.cases += 1
@@ -119,6 +125,8 @@ class TrialReport:
                     "cases": s.cases,
                     "failures": s.failures,
                     "counterexample": s.counterexample,
+                    "elapsed_s": s.elapsed_s,
+                    "checks_per_s": s.checks_per_s,
                 }
                 for name, s in self.suites.items()
             },
@@ -394,7 +402,9 @@ def run_suite(cfg: TrialConfig) -> TrialReport:
     for name in SUITE_NAMES:
         if name not in cfg.suites:
             continue
-        results[name] = SuiteResult(name)
-        _SUITES[name](cfg, results[name])
+        res = results[name] = SuiteResult(name)
+        t0 = time.perf_counter()
+        _SUITES[name](cfg, res)
+        res.elapsed_s = time.perf_counter() - t0
     return TrialReport(cfg.seed, cfg.trials, results,
                        time.perf_counter() - started)

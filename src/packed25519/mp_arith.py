@@ -27,8 +27,9 @@ coefficient, so the subtraction is never negative and needs no carry or
 sign mask.  `mul16` itself does a second additive level over 8-limb
 halves: 192 products instead of 256, with inner half sums up to 1020.
 Squaring is `_square.sqr256`, one flat body with the same outer level: it
-writes each cross product a[i]*a[j] (i < j) once and doubles it, and its
-three 16-limb square blocks sit inline (408 products).
+writes each cross product a[i]*a[j] (i < j) once, as a[i]*da[j] against the
+doubled limb da[j] = a[j] + a[j] computed once, so no column is multiplied
+by 2, and its three 16-limb square blocks sit inline (408 products).
 
 The kernels are split over modules because of compile memory: no bytecode
 cache is written where PYTHONDONTWRITEBYTECODE is set, so every process
@@ -50,17 +51,23 @@ none of the lists and calls that the paper's recursive tree cost in
 CPython.
 
 Reduction mod p = 2^255 - 19 folds the high half in as 38 (2^256 ≡ 38 mod
-p) and the remaining top bits as 19.  One template writes every reduction:
-a carry pass over 32 column expressions, the fold of bits 255 and up as 19
-and a second fixed pass in the same `bytes` display that ends mul256.  For
-the column total V each returns (V mod 2^255) + 19 * (V >> 255): below 2p
-for every caller, so one conditional subtraction canonicalizes.  red512 is
-`_reduce.red38`, whose column k is m[k] + 38*m[k+32]; `add_mod` takes
-a[k] + b[k], `sub_mod` a[k] - b[k] + 4p[k] (4p exceeds every 256-bit
-operand, so the total is positive) and `mul121666` 121666*a[k].  The
-display leaves the top limb unmasked, so a total whose result falls outside
-[0, 2^256) makes `bytes()` raise ValueError, with or without -O.  The linear
-kernels do not call red512, so red512 counts only reductions of products.
+p) and the top bits as 19 (2^255 ≡ 19).  One template writes every
+reduction, in one carry pass: over 32 column expressions with top column t,
+it adds 19 * (t >> 7) to column 0 *before* the carry and carries the
+columns once, in the same `bytes` display that ends mul256, with t & 127
+joining the top limb.  For the column total V each returns
+W = V - p * (t >> 7), the same residue.  red512 is `_reduce.red38`, whose
+column k is m[k] + 38*m[k+32]; `add_mod` takes a[k] + b[k] and `sub_mod`
+a[k] - b[k] + 4p[k] (4p exceeds every 256-bit operand, so the total is
+positive).  For byte inputs the carry into the top limb is at most 39, 2
+and 5, so W < 2p and one conditional subtraction canonicalizes;
+tests/test_gen_kernels.py proves that for all inputs by interval
+arithmetic.  `mul121666`'s columns 121666*a[k] reach 2^25, so it carries
+them once first and then applies the template to the carried limbs.  The
+display leaves the top limb unmasked, so a total whose W falls outside
+[0, 2^256) makes `bytes()` raise ValueError, with or without -O.  The
+linear kernels do not call red512, so red512 counts only reductions of
+products.
 `subp` is one carry display over a[k] - p[k] with every limb masked, and
 `cmov` a masked move per limb; both are in `_linear` with `mul121666`.
 

@@ -79,6 +79,7 @@ def test_selftest_pass_and_json(tmp_path, capsys):
                        "--suites", "findings,mp", "--json", str(path))
     assert code == 0
     assert "PASS" in out
+    assert sum("checks/s" in line for line in out.splitlines()) == 2  # one line per suite
     report = json.loads(path.read_text())
     assert report["ok"] is True
     assert report["seed"] == 1

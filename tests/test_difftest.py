@@ -24,9 +24,23 @@ def test_report_is_deterministic():
     cfg = TrialConfig(seed=42, trials=2, suites=("mp", "fe", "findings"))
     a = run_suite(cfg).to_dict()
     b = run_suite(cfg).to_dict()
-    a.pop("elapsed_s")
-    b.pop("elapsed_s")
+    for report in (a, b):
+        report.pop("elapsed_s")
+        for suite in report["suites"].values():
+            suite.pop("elapsed_s")
+            suite.pop("checks_per_s")
     assert a == b
+
+
+def test_every_selected_suite_reports_its_time():
+    report = run_suite(TrialConfig(seed=3, trials=1, suites=("mp", "fe", "findings")))
+    suites = report.to_dict()["suites"]
+    assert list(suites) == ["mp", "fe", "findings"]
+    for name, res in report.suites.items():
+        assert res.elapsed_s > 0
+        assert suites[name]["elapsed_s"] == res.elapsed_s
+        assert suites[name]["checks_per_s"] == res.cases / res.elapsed_s
+    assert sum(res.elapsed_s for res in report.suites.values()) <= report.elapsed_s
 
 
 def test_different_seeds_draw_different_inputs():

@@ -76,16 +76,18 @@ def test_red512_fold_constants():
 
 def test_red38_column_contract():
     # every reduction is linear in integer columns of any sign: for the total
-    # V it returns (V mod 2^255) + 19 * (V >> 255), which must lie in
-    # [0, 2^256); add_mod, sub_mod and mul121666 are red38 on their own 32
-    # columns with a zero high half
-    assert value(red512((-1,) + (0,) * 63)) == P - 1
+    # V and the top column t it returns W = V - p * (t >> 7), which must lie
+    # in [0, 2^256); add_mod and sub_mod are red38 on their own 32 columns
+    # with a zero high half, mul121666 on its columns carried once
+    with pytest.raises(ValueError, match=r"bytes must be in range\(0, 256\)"):
+        red512((-1,) + (0,) * 63)  # t = 0, so W = V = -1
     assert value(red512((0,) * 31 + (-127,) + (0,) * 32)) == 2**248 - 19  # V = -127 * 2^248
     zero, one, top = le(0), le(1), le(2**256 - 1)
     for a, b in ((zero, zero), (top, zero), (top, top), (zero, top), (top, one)):
         assert add_mod(a, b) == red512(tuple(x + y for x, y in zip(a, b)) + (0,) * 32)
         assert sub_mod(a, b) == red512(tuple(x - y + f for x, y, f in zip(a, b, FOURP)) + (0,) * 32)
-        assert mul121666(a) == red512(tuple(121666 * x for x in a) + (0,) * 32)
+        v = 121666 * value(a)
+        assert mul121666(a) == red512(tuple(le(v % 2**248, 31)) + (v >> 248,) + (0,) * 32)
     assert value(sub_mod(zero, one)) == P - 1
     for overflow in ((0,) * 31 + (2**300,),
                      (5,) + (0,) * 30 + (-128,)):  # V = -2^255 + 5

@@ -26,24 +26,31 @@ _square.py, whose sqr256 is mp_arith.sqr256 itself:
 
   sqr256(a)         the same 64 limbs for a*a in one body: the three
                     16-limb square blocks inline (each cross product a[i]*a[j]
-                    with i < j written once and doubled, 408 products) and
+                    with i < j written once, as a[i]*da[j] against the doubled
+                    limb da[j] = a[j] + a[j] computed once, 408 products) and
                     the same carry display.
 
 _reduce.py and _linear.py, the reductions mod p and the linear kernels.
-One template writes every reduction: given 32 column expressions, it carries
-them in one pass, folds bits 255 and up in as 19 and carries a second fixed
-pass, the same carry display that ends mul256 and sqr256.  For the column
-total V it returns (V mod 2^255) + 19*(V >> 255); the top limb is left
-unmasked, so bytes() raises ValueError, in every mode, when that falls
-outside [0, 2^256).  Columns may be negative or exceed a byte.
+One template writes every reduction: given 32 column expressions, it takes
+the top column t, folds its bits 7 and up into column 0 as 19 (2^255 = 19
+mod p) and carries the columns once, in the same carry display that ends
+mul256 and sqr256, with t & 127 added to the unmasked top limb.  For the
+column total V it returns W = V - p*(t >> 7); bytes() raises ValueError, in
+every mode, when W falls outside [0, 2^256).  Columns may be negative or
+exceed a byte.  For byte inputs the carry into the top limb is at most 39
+(red38), 2 (add_mod), 5 (sub_mod) and 1 (mul121666), so W < 2p:
+tests/test_gen_kernels.py proves that for all inputs.
 
   red38(m)          column k is m[k] + 38*m[k+32]: 64 columns, the high half
                     folded in as 38.  mp_arith.red512 is this function.
   add_mod(a, b)     column k is a[k] + b[k].
   sub_mod(a, b)     column k is a[k] - b[k] + 4*p[k]: 4p is larger than any
                     256-bit operand, so V is positive.
-  mul121666(a)      column k is 121666*a[k]: V < 2^273, so V >> 255 < 2^18
-                    and the result stays below 2p.
+  mul121666(a)      one plain carry pass over the columns 121666*a[k] first,
+                    then the template on the carried limbs and the top
+                    column (c >> 8) + 121666*a[31].  Its columns reach 2^25,
+                    so in one pass the carry into the top limb would be
+                    about 2^17; after the first pass it is at most 1.
   subp(a)           (a - p) mod 2^256 and the borrow: one carry display over
                     a[k] - p[k] with every limb masked, then -(c >> 8).
   cmov(a, b, c)     a[k] ^ ((a[k] ^ b[k]) & m) for the mask m = -c & 255.
@@ -106,8 +113,10 @@ the generator's output byte for byte.
 sqr256 is mul256's one-level Karatsuba with the three 16-limb square blocks
 written inline: l of the low half and h of the high half as locals, the
 middle block of the half sums t inside the carry display.  Each cross
-product a[i]*a[j] (i < j) is written once and doubled.  It lives apart from
-mul256 because the parser's transient peak is per module.
+product a[i]*a[j] (i < j) is written once, as a[i]*da[j] against the doubled
+limb da[j] = a[j] + a[j] (and t[i]*dt[j] in the middle block), so no column
+is multiplied by 2.  It lives apart from mul256 because the parser's
+transient peak is per module.
 """
 '''
 
@@ -118,15 +127,16 @@ Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 `python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
 the generator's output byte for byte.
 
-Each function carries 32 integer columns in one pass, folds bits 255 and up
-in as 19 (2^255 = 19 mod p) and carries a second fixed pass, written as one
-bytes display.  Columns may be negative or exceed a byte: for the column
-total V the result is (V mod 2^255) + 19*(V >> 255) as 32 limbs.  The top
-limb is left unmasked, so bytes() raises ValueError, with or without -O,
-when that value falls outside [0, 2^256).  red38's column k is
-m[k] + 38*m[k+32] (2^256 = 38 mod p), add_mod's a[k] + b[k] and sub_mod's
-a[k] - b[k] + 4p[k].  mp_arith.red512 is red38 itself; add_mod and sub_mod
-are mp_arith's own.
+Each function takes its top column t, folds bits 7 and up of t into
+column 0 as 19 (2^255 = 19 mod p) and carries the 32 integer columns once,
+written as one bytes display whose top limb is (c >> 8) + (t & 127).
+Columns may be negative or exceed a byte: for the column total V the result
+is W = V - p*(t >> 7) as 32 limbs.  The top limb is left unmasked, so
+bytes() raises ValueError, with or without -O, when W falls outside
+[0, 2^256).  red38's column k is m[k] + 38*m[k+32] (2^256 = 38 mod p),
+add_mod's a[k] + b[k] and sub_mod's a[k] - b[k] + 4p[k].  For byte inputs
+the carry into the top limb is at most 39, 2 and 5, so W < 2p.
+mp_arith.red512 is red38 itself; add_mod and sub_mod are mp_arith's own.
 """
 '''
 
@@ -137,7 +147,9 @@ Generated by tools/gen_kernels.py; do not edit.  Regenerate with
 `python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
 the generator's output byte for byte.
 
-mul121666 is the reduction of _reduce.py on the columns 121666*a[k].  subp
+mul121666 carries the columns 121666*a[k] once and then applies the
+reduction of _reduce.py to the carried limbs: its columns reach 2^25, too
+large for one pass to leave the top limb a byte.  subp
 carries a[k] - p[k] in one display with every limb masked and returns the
 borrow -(c >> 8) beside it: `>> 8` floors, so a borrow is a carry of -1.
 cmov moves b into a under the mask -c & 255, limb by limb.  mp_arith
@@ -165,12 +177,17 @@ def _mul_col(x: str, y: str, k: int, n: int, start: int = 0) -> str:
 
 
 def _sqr_col(x: str, k: int, n: int, start: int = 0) -> str:
-    """Column k of the square of limbs x{start}.., cross products doubled."""
-    cross = [f"{x}{start + i}*{x}{start + k - i}" for i in range(max(0, k - n + 1), (k + 1) // 2)]
-    terms = [f"2*({' + '.join(cross)})"] if cross else []
+    """Column k of the square of limbs x{start}..: each cross product once,
+    x{i}*dx{j} with i < j against the doubled limb dx{j} = 2*x{j}."""
+    terms = [f"{x}{start + i}*d{x}{start + k - i}" for i in range(max(0, k - n + 1), (k + 1) // 2)]
     if k % 2 == 0:
         terms.append(f"{x}{start + k // 2}*{x}{start + k // 2}")
     return " + ".join(terms)
+
+
+def _doubled(x: str, n: int, start: int = 0) -> List[str]:
+    """dx{j} = x{j} + x{j} for every limb _sqr_col takes doubled."""
+    return [f"    d{x}{j} = {x}{j} + {x}{j}" for j in range(start + 1, start + n)]
 
 
 def _karatsuba(n: int, lo: Col, mid: Col, hi: Col) -> List[str]:
@@ -231,6 +248,7 @@ def _mul256() -> List[str]:
 def _sqr256() -> List[str]:
     lines = _head("sqr256(a)", "256-bit squaring; same value as mul256(a, a), each cross product once.", "a")
     lines += [f"    t{i} = a{i} + a{i + N}" for i in range(N)]
+    lines += _doubled("a", N) + _doubled("a", N, N) + _doubled("t", N)
     lines += [f"    l{k} = {_sqr_col('a', k, N)}" for k in range(2 * N - 1)]
     lines += [f"    h{k} = {_sqr_col('a', k, N, N)}" for k in range(2 * N - 1)]
     lines += _carry_bytes(_karatsuba(N, lambda j: f"l{j}", lambda j: _sqr_col("t", j, N),
@@ -239,16 +257,21 @@ def _sqr256() -> List[str]:
 
 
 def _red(head: List[str], col: Col) -> List[str]:
-    """The reduction mod p of the 32 columns col(0), ..., col(31)."""
-    lines = list(head)
-    for k in range(LIMBS):
-        lines.append(f"    c = {col(k)}" if k == 0 else f"    c = (c >> 8) + {col(k)}")
-        if k < LIMBS - 1:
-            lines.append(f"    r{k} = c & 255")
-    lines.append(f"    r{LIMBS - 1} = c & 127")
-    lines += _carry_bytes(["r0 + 19*(c >> 7)"] + [f"r{k}" for k in range(1, LIMBS - 1)],
-                          f"(c >> 8) + r{LIMBS - 1}")
-    return lines
+    """The reduction mod p of the 32 columns col(0), ..., col(31) in one
+    carry pass: bits 7 and up of the top column t are folded into column 0
+    as 19 before the carry, and bits 0..6 of t join the unmasked top limb."""
+    return (head + [f"    t = {col(LIMBS - 1)}"]
+            + _carry_bytes([f"{col(0)} + 19*(t >> 7)"] + [col(k) for k in range(1, LIMBS - 1)],
+                           "(c >> 8) + (t & 127)"))
+
+
+def _mul121666() -> List[str]:
+    """One plain carry pass over the columns 121666*a[k], then _red on the
+    carried limbs: a single pass would leave a carry near 2^17 in the top limb."""
+    lines = _head("mul121666(a)", "Multiply by the ladder constant 121666 = (A + 2) / 4; result < 2p.", "a")
+    for k in range(LIMBS - 1):
+        lines += [f"    c = {'' if k == 0 else '(c >> 8) + '}121666*a{k}", f"    r{k} = c & 255"]
+    return _red(lines, lambda k: f"r{k}" if k < LIMBS - 1 else f"(c >> 8) + 121666*a{k}")
 
 
 def _subp() -> List[str]:
@@ -281,8 +304,7 @@ def render() -> Dict[Path, str]:
                        "ab"), lambda k: f"a{k} - b{k} + {FOURP[k]}"),
         ]),
         LINEAR: _module(LINEAR_HEADER, [
-            _red(_head("mul121666(a)", "Multiply by the ladder constant 121666 = (A + 2) / 4; result < 2p.",
-                       "a"), lambda k: f"121666*a{k}"),
+            _mul121666(),
             _subp(),
             _cmov(),
         ]),
