@@ -10,6 +10,7 @@ Exit status: 0 on success, 1 when a selftest finds a property violation,
 """
 
 import argparse
+import string
 import sys
 from typing import List, Optional
 
@@ -21,10 +22,10 @@ def _parse_hex32(text: str, what: str) -> bytes:
     t = text.strip()
     if len(t) != 64:
         raise ValueError(f"{what} must be 64 hex characters, got {len(t)}")
-    try:
-        return bytes.fromhex(t)
-    except ValueError:
-        raise ValueError(f"{what} is not valid hex: {text!r}") from None
+    # bytes.fromhex alone would skip inner whitespace and return fewer bytes
+    if not set(t) <= set(string.hexdigits):
+        raise ValueError(f"{what} is not valid hex: {text!r}")
+    return bytes.fromhex(t)
 
 
 def _cmd_scalarmult(args: argparse.Namespace) -> int:

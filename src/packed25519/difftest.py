@@ -17,7 +17,8 @@ trials could run in any order or in parallel without changing the report
 lowest trial index).  Fixed edge-case checks run before trial 0.
 
 A report with failures == 0 is a pass; the first failing check per suite is
-captured as a hex counterexample string.
+captured as a hex counterexample string.  An exception raised inside a suite
+counts as one failing check and ends that suite.
 """
 
 import hashlib
@@ -385,7 +386,10 @@ def run_suite(cfg: TrialConfig) -> TrialReport:
     """Run the configured suites and return the full report.
 
     Configuration problems (a bad trial count or seed, an unknown or empty
-    suite list) raise ValueError before anything runs.
+    suite list) raise ValueError before anything runs.  An exception raised
+    by the code under test is one failed check of its suite, whose
+    counterexample names the suite, the exception and the function that
+    raised it; that suite stops there, and the others still run.
     """
     if not isinstance(cfg.trials, int) or cfg.trials < 1:
         raise ValueError(f"trials must be a positive integer, got {cfg.trials!r}")
@@ -404,7 +408,12 @@ def run_suite(cfg: TrialConfig) -> TrialReport:
             continue
         res = results[name] = SuiteResult(name)
         t0 = time.perf_counter()
-        _SUITES[name](cfg, res)
+        try:
+            _SUITES[name](cfg, res)
+        except Exception as exc:
+            import traceback  # here, so that only a run that raises loads it
+            at = traceback.extract_tb(exc.__traceback__)[-1]
+            res.check(False, lambda: f"{name} raised {type(exc).__name__}: {exc} (in {at.name})")
         res.elapsed_s = time.perf_counter() - t0
     return TrialReport(cfg.seed, cfg.trials, results,
                        time.perf_counter() - started)

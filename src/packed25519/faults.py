@@ -21,7 +21,7 @@ from typing import Callable, FrozenSet, Iterable, Iterator, List, Tuple
 
 from . import mp_arith
 
-KNOWN = frozenset({"add_mod", "mul121666", "mul256", "red512", "sqr256", "sub_mod", "subp"})
+KNOWN = frozenset({"add_mod", "cmov", "mul121666", "mul256", "red512", "sqr256", "sub_mod", "subp"})
 
 
 def _from_env() -> FrozenSet[str]:

@@ -60,9 +60,8 @@ W = V - p * (t >> 7), the same residue.  red512 is `_reduce.red38`, whose
 column k is m[k] + 38*m[k+32]; `add_mod` takes a[k] + b[k] and `sub_mod`
 a[k] - b[k] + 4p[k] (4p exceeds every 256-bit operand, so the total is
 positive).  For byte inputs the carry into the top limb is at most 39, 2
-and 5, so W < 2p and one conditional subtraction canonicalizes;
-tests/test_gen_kernels.py proves that for all inputs by interval
-arithmetic.  `mul121666`'s columns 121666*a[k] reach 2^25, so it carries
+and 5, so W < 2p and one conditional subtraction canonicalizes.
+`mul121666`'s columns 121666*a[k] reach 2^25, so it carries
 them once first and then applies the template to the carried limbs.  The
 display leaves the top limb unmasked, so a total whose W falls outside
 [0, 2^256) makes `bytes()` raise ValueError, with or without -O.  The
@@ -70,6 +69,11 @@ linear kernels do not call red512, so red512 counts only reductions of
 products.
 `subp` is one carry display over a[k] - p[k] with every limb masked, and
 `cmov` a masked move per limb; both are in `_linear` with `mul121666`.
+
+tests/test_gen_kernels.py proves these claims for all byte inputs: exact
+products, the reductions' congruence below 2p with those top carries, and
+subp's d = a - p + 2^256*borrow.  `cmov` is XOR, which is not polynomial,
+so it is only sampled.
 
 Control flow never depends on limb values: the generated code has no branch
 or loop, and carries and borrows are arithmetic.  (CPython integers are not

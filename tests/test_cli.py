@@ -54,6 +54,8 @@ def test_malformed_hex_exits_2(capsys):
     assert code == 2 and "64 hex characters" in err
     code, _, err = run(capsys, "scalarmult", "zz" * 32, "00" * 32)
     assert code == 2 and "not valid hex" in err
+    code, _, err = run(capsys, "scalarmult", "00" * 32, "00" * 30 + "  09")  # 64 chars, 31 bytes
+    assert code == 2 and "u-coordinate is not valid hex" in err
     code, _, err = run(capsys, "base", "00" * 31)
     assert code == 2
 

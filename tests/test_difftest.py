@@ -116,6 +116,7 @@ def test_broken_red512_is_caught_with_counterexample():
     ("sqr256", ("mp", "fe", "ladderstep")),
     ("mul256", ("mp", "fe", "ladderstep")),
     ("subp", ("mp", "fe", "findings")),
+    ("cmov", ("fe", "mladder", "findings")),
 ])
 def test_broken_kernel_is_caught(fault, suites):
     with faults.inject(fault):
@@ -125,6 +126,20 @@ def test_broken_kernel_is_caught(fault, suites):
         res = report.suites[name]
         assert res.failures > 0, f"{fault} fault went unnoticed in {name}"
         assert res.counterexample is not None
+
+
+def test_an_exception_in_a_suite_is_a_failed_check(monkeypatch):
+    # a red512 that hands red38 a column no byte input gives, so that red38's
+    # own overflow check, bytes()'s range check, fires
+    overflow = (0,) * 31 + (2**300,) + (0,) * 32
+    monkeypatch.setattr(mp_arith, "red512", lambda m: _reduce.red38(overflow))
+    report = run_suite(TrialConfig(trials=1, suites=("ladderstep", "findings")))
+    assert not report.ok
+    res = report.suites["findings"]
+    assert (res.cases, res.failures) == (1, 1)
+    assert res.counterexample == "findings raised ValueError: bytes must be in range(0, 256) (in red38)"
+    # the other suites still run
+    assert report.suites["ladderstep"].cases > 0 and report.suites["ladderstep"].failures == 0
 
 
 def test_faults_reject_unknown_names():

@@ -1,16 +1,17 @@
 """The committed kernel modules are exactly what tools/gen_kernels.py emits,
-each is straight-line and stays within the parser's budget, mul16's
-identity and column bounds hold for all inputs, and so do the reductions'
-congruence and their bound below 2p."""
+each is straight-line and stays within the parser's budget, and one symbolic
+evaluator proves every generated kernel but cmov for all inputs: mul16's
+columns, the exact products of mul256 and sqr256, the reductions'
+congruence and their bound below 2p, and subp's difference and borrow."""
 
 import ast
+import functools
 import importlib.util
+import itertools
 import tracemalloc
 from pathlib import Path
 
 import pytest
-
-from packed25519._kernels import mul16
 
 ROOT = Path(__file__).resolve().parent.parent
 GENERATOR = ROOT / "tools" / "gen_kernels.py"
@@ -64,113 +65,78 @@ def test_every_generated_module_is_straight_line_and_within_the_parse_budget():
         assert branches == [], f"{path.name} branches: {branches}"
 
 
-def _run_recorded(fn, *operands):
-    """fn's result on integer operands, with every value fn computes."""
-    seen = []
+class Sym:
+    """An integer a generated kernel computes, known two ways at once: as a
+    polynomial with integer coefficients over atoms, and as an interval.
 
-    class Recorded(int):
-        def __add__(self, other):
-            return _record(int(self) + int(other))
+    The atoms are the input limbs and one fresh quotient atom per right
+    shift, which stands for that shift's floor.  x & (2^s - 1) is
+    x - 2^s * (x >> s) for every Python int, so an identity between the
+    polynomials of two results holds whatever the quotients are.  Each
+    operation keeps the intersection of two intervals, both sound for every
+    input: the one it computes from its operands' intervals, which keeps a
+    carry chain's bounds, and the one its polynomial implies term by term,
+    which sees that a Karatsuba middle s - l - h is a sum of products.  A
+    monomial is a sorted tuple of atoms, and an atom is (id, lo, hi)."""
 
-        def __sub__(self, other):
-            return _record(int(self) - int(other))
+    log = []  # every value built since the last reset
+    _ids = itertools.count()
 
-        def __mul__(self, other):
-            return _record(int(self) * int(other))
-
-        __radd__, __rmul__ = __add__, __mul__
-
-        def __rsub__(self, other):
-            return _record(int(other) - int(self))
-
-    def _record(v):
-        seen.append(v)
-        return Recorded(v)
-
-    return fn(*(tuple(Recorded(x) for x in op) for op in operands)), seen
-
-
-def test_mul16_is_the_schoolbook_product_for_all_inputs():
-    # mul16 is bilinear, with integer coefficients far below R/2 in size.
-    # At the Kronecker point a[i] = R^i, b[j] = R^(16j) the monomial a[i]*b[j]
-    # becomes R^(i + 16j), a distinct digit for each (i, j), so the base-R
-    # digits of column k are its coefficients: they must be 1 where
-    # i + j = k and 0 elsewhere.  That proves column k = sum a[i]*b[j] over
-    # i + j = k as a polynomial identity.
-    R = 2**16
-    cols, seen = _run_recorded(mul16, [R**i for i in range(16)], [R**(16 * j) for j in range(16)])
-    assert len(cols) == 31
-    for k, col in enumerate(cols):
-        digits = [(col >> 16 * e) & (R - 1) for e in range(256)]
-        assert col >> 16 * 256 == 0
-        assert digits == [int(e % 16 + e // 16 == k) for e in range(256)], k
-    # Every value mul16 computes on the way, half sums and inner block
-    # columns included, also has non-negative coefficients: no digit reads
-    # as a negative one (R - small).
-    for v in seen:
-        assert v >= 0 and all((v >> 16 * e) & (R - 1) < R // 2 for e in range(v.bit_length() // 16 + 1))
-
-
-def test_mul16_column_bounds_for_all_inputs():
-    # Operands are byte limbs or sums of two, at most 510.  Every value
-    # mul16 computes is a polynomial with non-negative coefficients (above),
-    # so it is largest where every operand is 510.
-    cols, seen = _run_recorded(mul16, (510,) * 16, (510,) * 16)
-    assert max(seen) == 8 * 1020 * 1020 < 2**23  # an inner middle column
-    assert max(cols) == 16 * 510 * 510 < 2**22
-
-
-class Lin:
-    """An integer that a reduction computes, known two ways at once: as a
-    linear form over atoms and as an interval.
-
-    The atoms are the input limbs, each in [0, 255], and one fresh quotient
-    atom per right shift, which stands for that shift's floor.  x & (2^s - 1)
-    is x - 2^s * (x >> s) for every Python int, so the value of a result is
-    an identity in the atoms: it holds whatever the quotients are.  The
-    interval is plain interval arithmetic, sound for every input."""
-
-    def __init__(self, form, lo, hi):
-        self.form, self.lo, self.hi, self.shifts = form, lo, hi, {}
+    def __init__(self, poly, lo, hi):
+        self.poly = {m: k for m, k in poly.items() if k}
+        plo = phi = 0
+        for mono, k in self.poly.items():
+            mlo = mhi = k
+            for _, a, b in mono:
+                ends = (mlo * a, mlo * b, mhi * a, mhi * b)
+                mlo, mhi = min(ends), max(ends)
+            plo, phi = plo + mlo, phi + mhi
+        self.lo, self.hi, self.shifts = max(lo, plo), min(hi, phi), {}
+        Sym.log.append(self)
 
     @classmethod
     def atom(cls, lo, hi):
-        return cls({object(): 1}, lo, hi)
+        return cls({((next(cls._ids), lo, hi),): 1}, lo, hi)
 
     @staticmethod
     def lift(x):
-        return x if isinstance(x, Lin) else Lin({1: x}, x, x)
+        return x if isinstance(x, Sym) else Sym({(): x}, x, x)
 
-    def __add__(self, other):
-        other = Lin.lift(other)
-        form = dict(self.form)
-        for k, v in other.form.items():
-            form[k] = form.get(k, 0) + v
-        return Lin(form, self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented  # a reduction is linear in its inputs
-        return Lin({a: k * v for a, v in self.form.items()}, *sorted((k * self.lo, k * self.hi)))
+    def __add__(self, other, sign=1):
+        other = Sym.lift(other)
+        poly = dict(self.poly)
+        for m, k in other.poly.items():
+            poly[m] = poly.get(m, 0) + sign * k
+        lo, hi = sorted((sign * other.lo, sign * other.hi))
+        return Sym(poly, self.lo + lo, self.hi + hi)
 
     def __sub__(self, other):
-        return self + Lin.lift(other) * -1
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return Sym({m: -k for m, k in self.poly.items()}, -self.hi, -self.lo)
+
+    def __mul__(self, other):
+        other = Sym.lift(other)
+        poly = {}
+        for (m1, k1), (m2, k2) in itertools.product(self.poly.items(), other.poly.items()):
+            m = tuple(sorted(m1 + m2))
+            poly[m] = poly.get(m, 0) + k1 * k2
+        ends = [x * y for x in (self.lo, self.hi) for y in (other.lo, other.hi)]
+        return Sym(poly, min(ends), max(ends))
 
     __radd__, __rmul__ = __add__, __mul__
-
-    def __rsub__(self, other):
-        return Lin.lift(other) - self
 
     def __rshift__(self, s):
         # the same shift of the same value is the same quotient atom
         if s not in self.shifts:
-            self.shifts[s] = Lin.atom(self.lo >> s, self.hi >> s)
+            self.shifts[s] = Sym.atom(self.lo >> s, self.hi >> s)
         return self.shifts[s]
 
     def __and__(self, mask):
         s = mask.bit_length()
         assert mask == 2**s - 1
-        return Lin((self - (self >> s) * 2**s).form, 0, mask)
+        return Sym((self - (self >> s) * 2**s).poly, 0, mask)
 
     def __bool__(self):
         raise TypeError("control flow depends on limb data")
@@ -180,64 +146,119 @@ def _value(limbs):
     return sum(x * 2**(8 * k) for k, x in enumerate(limbs))
 
 
-# Each reduction of the generated modules: its operands' widths and the
-# integer it is congruent to mod p.
-REDUCTIONS = {
-    "red38": ((64,), _value),
-    "add_mod": ((32, 32), lambda a, b: _value(a) + _value(b)),
-    "sub_mod": ((32, 32), lambda a, b: _value(a) - _value(b)),
-    "mul121666": ((32,), lambda a: 121666 * _value(a)),
+def _mul16(cols, seen, a, b):
+    # operands are byte limbs or sums of two, at most 510
+    assert len(cols) == 31
+    for k, col in enumerate(cols):
+        schoolbook = sum(a[i] * b[k - i] for i in range(max(0, k - 15), min(k, 15) + 1))
+        assert not (col - schoolbook).poly, f"column {k} is not the schoolbook column"
+
+
+def _product(spec):
+    def claim(out, seen, *operands):
+        assert not (_value(out) - spec(*map(_value, operands))).poly, "value(out) is not the product"
+        assert all(0 <= x.lo and x.hi <= 255 for x in out), "a limb can leave [0, 255]"
+    return claim
+
+
+def _reduction(spec, top_carry):
+    """W = spec (mod p) and 0 <= W < 2p, with the given carry into the top
+    limb, for every byte input."""
+    def claim(out, seen, *operands):
+        w = _value(out)
+        # algebraic: W - spec is p times an integer combination of the atoms
+        assert all(k % P == 0 for k in (w - spec(*map(_value, operands))).poly.values()), "not spec mod p"
+        # range: every entry is a byte; for the unmasked top limb, (L >> 248)
+        # + (t & 127), that says the lower part L is never negative and its
+        # carry plus 127 stays below 256
+        assert all(x.lo >= 0 for x in out), "the lower part can be negative"
+        assert all(x.hi <= 255 for x in out), "the top limb can exceed a byte"
+        assert w.hi < 2 * P, "W can reach 2p"
+        assert out[-1].hi - 127 == top_carry
+    return claim
+
+
+def _subp(out, seen, a):
+    d, borrow = out
+    assert not (_value(d) - (_value(a) - P + borrow * 2**256)).poly, "value(d) is not a - p + 2^256 borrow"
+    assert all(0 <= x.lo and x.hi <= 255 for x in d), "a limb can leave [0, 255]"
+    assert 0 <= borrow.lo and borrow.hi <= 1, "the borrow can leave [0, 1]"
+
+
+# Every generated kernel but cmov (XOR is not polynomial): its module, its
+# operands' widths, the bound of their limbs and its claim.  For byte inputs
+# the carry into a reduction's top limb is at most 39, 2, 5 and 1, so its
+# result is below 167, 130, 133 and 129 times 2^248, all below 2p.
+KERNELS = {
+    "mul16": ("_kernels.py", (16, 16), 510, _mul16),
+    "mul256": ("_kernels.py", (32, 32), 255, _product(lambda a, b: a * b)),
+    "sqr256": ("_square.py", (32,), 255, _product(lambda a: a * a)),
+    "red38": ("_reduce.py", (64,), 255, _reduction(lambda m: m, 39)),
+    "add_mod": ("_reduce.py", (32, 32), 255, _reduction(lambda a, b: a + b, 2)),
+    "sub_mod": ("_reduce.py", (32, 32), 255, _reduction(lambda a, b: a - b, 5)),
+    "mul121666": ("_linear.py", (32,), 255, _reduction(lambda a: 121666 * a, 1)),
+    "subp": ("_linear.py", (32,), 255, _subp),
 }
-# The carry into the top limb, at most, for any byte input.
-TOP_CARRY = {"red38": 39, "add_mod": 2, "sub_mod": 5, "mul121666": 1}
 
 
-def _prove_reduction(text, name):
-    """Prove, for every byte input, that the reduction `name` of the module
-    source `text` returns W = spec (mod p) with 0 <= W < 2p, and return the
-    largest carry into its top limb.  It runs on Lin operands with bytes()
-    bound to tuple, so that it returns its 32 entries unchecked."""
+@functools.cache
+def _sources():
+    return {path.name: text for path, text in _generator().render().items()}
+
+
+def _run(name, text):
+    """Run the kernel `name` of the module source `text` on atoms, with
+    bytes() bound to tuple so that its entries come back unchecked; return
+    its result, every value it built and its operands."""
+    _, widths, bound, _ = KERNELS[name]
     namespace = {"bytes": tuple}
     exec(compile(text, name, "exec"), namespace)
-    widths, spec = REDUCTIONS[name]
-    operands = [[Lin.atom(0, 255) for _ in range(n)] for n in widths]
+    Sym.log = []
+    operands = [[Sym.atom(0, bound) for _ in range(n)] for n in widths]
     out = namespace[name](*operands)
-    w = _value(out)
-    # algebraic: W - spec is p times an integer combination of the atoms
-    assert all(v % P == 0 for v in (w - spec(*operands)).form.values()), f"{name}: W is not spec mod p"
-    # range: every entry is a byte; for the unmasked top limb, (L >> 248) +
-    # (t & 127), that says the lower part L is never negative and its carry
-    # plus 127 stays below 256
-    assert all(x.lo >= 0 for x in out), f"{name}: the lower part can be negative"
-    assert all(x.hi <= 255 for x in out), f"{name}: the top limb can exceed a byte"
-    assert w.hi < 2 * P, f"{name}: W can reach 2p"
-    return out[-1].hi - 127
+    seen, Sym.log = Sym.log, []
+    return out, seen, operands
 
 
-def test_reductions_are_congruent_and_below_2p_for_all_inputs():
-    # Every column is monotone in the byte limbs, so interval arithmetic is
-    # exact on the lower part: its bounds are its values at the extreme
-    # inputs (for sub_mod, a = 2^256 - 1 with b = 0 and the reverse).
-    # mul121666's first carry pass brings its top column to about 2^25; the
-    # one-pass fold after it then carries at most 1.
-    rendered = _generator().render().values()
-    for name in REDUCTIONS:
-        text = next(t for t in rendered if f"\ndef {name}(" in t)
-        assert _prove_reduction(text, name) == TOP_CARRY[name], name
+def _prove(name, text):
+    """Run the kernel `name` of `text` on atoms and assert its claim."""
+    out, seen, operands = _run(name, text)
+    KERNELS[name][3](out, seen, *operands)
 
 
-@pytest.mark.parametrize("edits, reason", [
-    ([("19*(t >> 7)", "19*(t >> 6)")], "not spec mod p"),  # folds the wrong bits
-    ([("19*(t >> 7)", "(t >> 7)")], "not spec mod p"),  # drops the factor 19
-    ([("(t & 127)", "(t & 255)")], "not spec mod p"),  # keeps bit 7 twice
+def test_mul16_is_the_schoolbook_product_for_all_inputs():
+    _prove("mul16", _sources()["_kernels.py"])
+
+
+def test_mul16_column_bounds_for_all_inputs():
+    cols, seen, _ = _run("mul16", _sources()["_kernels.py"])
+    # every value mul16 computes, half sums and inner block columns included
+    assert min(v.lo for v in seen) >= 0, "a value can be negative"
+    assert max(v.hi for v in seen) == 8 * 1020 * 1020 < 2**23  # an inner middle column
+    assert max(col.hi for col in cols) == 16 * 510 * 510 < 2**22
+
+
+@pytest.mark.parametrize("name", [name for name in KERNELS if name != "mul16"])
+def test_generated_kernel_is_proved_for_all_inputs(name):
+    _prove(name, _sources()[KERNELS[name][0]])
+
+
+@pytest.mark.parametrize("name, edits, reason", [
+    ("red38", [("19*(t >> 7)", "19*(t >> 6)")], "not spec mod p"),  # folds the wrong bits
+    ("red38", [("19*(t >> 7)", "(t >> 7)")], "not spec mod p"),  # drops the factor 19
+    ("red38", [("(t & 127)", "(t & 255)")], "not spec mod p"),  # keeps bit 7 twice
     # no fold at all: W = V exactly, but the top limb overflows
-    ([(" + 19*(t >> 7)", ""), ("(t & 127)", "t")], "top limb can exceed a byte"),
+    ("red38", [(" + 19*(t >> 7)", ""), ("(t & 127)", "t")], "top limb can exceed a byte"),
+    ("mul256", [(" - h15)", ")")], "not the product"),  # a Karatsuba middle term kept
+    ("mul256", [("(c := l0) & 255", "(c := l0) & 127")], "not the product"),  # limb 0 loses a bit
+    ("sqr256", [("l1 = a0*da1\n", "l1 = a0*a1\n")], "not the product"),  # a cross product not doubled
+    ("mul16", [("u0*v0", "u0*v1")], "not the schoolbook column"),  # a wrong inner product
+    ("subp", [("a0 - 237", "a0 - 236")], "not a - p"),  # one limb of p off by one
 ])
-def test_reduction_proof_rejects_mutants_of_the_generated_code(edits, reason):
-    generator = _generator()
-    text = generator.render()[generator.REDUCE]
+def test_proof_rejects_kernel_mutants(name, edits, reason):
+    text = _sources()[KERNELS[name][0]]
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
     with pytest.raises(AssertionError, match=reason):
-        _prove_reduction(text, "red38")
+        _prove(name, text)

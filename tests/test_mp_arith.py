@@ -13,7 +13,6 @@ import pytest
 from packed25519.mp_arith import (P, add_mod, cmov, mul121666, mul256, red512, sqr256, sub_mod,
                                   subp, value)
 
-TWO_P = 2 * P
 GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "gen_kernels.py"
 FOURP = runpy.run_path(str(GENERATOR))["FOURP"]  # sub_mod's 32 columns of 4p
 
@@ -26,40 +25,6 @@ def test_value_round_trip():
     assert value(le(0)) == 0
     assert value(le(2**256 - 1)) == 2**256 - 1
     assert value(b"\x02" + b"\x00" * 31) == 2
-
-
-def test_mul256_identities():
-    x = le(0xDEADBEEF)
-    assert value(mul256(le(0), x)) == 0
-    assert value(mul256(le(1), x)) == 0xDEADBEEF
-    a = 2**128 - 1
-    assert value(mul256(le(a), le(a))) == 2**256 - 2**129 + 1
-    top = 2**256 - 1
-    assert value(mul256(le(top), le(top))) == top * top
-
-
-def test_karatsuba_halves_at_their_edges():
-    # halves of 0, 1, 2^127 and 2^128 - 1: half sums reach limbs of 510, and
-    # the middle block s - lo - hi cancels to 0 in some columns
-    halves = [0, 1, 2**127, 2**128 - 1]
-    xs = [lo + (hi << 128) for lo in halves for hi in halves]
-    for x in xs:
-        assert value(sqr256(le(x))) == x * x
-        for y in xs:
-            assert value(mul256(le(x), le(y))) == x * y
-
-
-def test_subp_examples():
-    d, b = subp(le(P))
-    assert (value(d), b) == (0, 0)
-    d, b = subp(le(P + 1))
-    assert (value(d), b) == (1, 0)
-    d, b = subp(le(0))
-    assert (value(d), b) == ((0 - P) % 2**256, 1)
-    d, b = subp(le(P - 1))
-    assert (value(d), b) == ((-1) % 2**256, 1)
-    d, b = subp(le(2**256 - 1))
-    assert (value(d), b) == (2**256 - 1 - P, 0)
 
 
 def test_red512_small_values_pass_through():
@@ -96,13 +61,6 @@ def test_red38_column_contract():
                 fn(*args)
     # sub_mod's offset columns denote 4p
     assert sum(c << 8 * k for k, c in enumerate(FOURP)) == 4 * P
-    # the linear kernels, at the extremes of their totals
-    for got, want in ((mul121666(top), 121666 * (2**256 - 1)),
-                      (add_mod(top, top), 2 * (2**256 - 1)),
-                      (sub_mod(top, zero), 2**256 - 1),
-                      (sub_mod(zero, top), -(2**256 - 1))):
-        assert value(got) % P == want % P
-        assert value(got) < TWO_P
 
 
 def test_red_overflow_is_rejected_under_O():

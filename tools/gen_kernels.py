@@ -38,8 +38,7 @@ mul256 and sqr256, with t & 127 added to the unmasked top limb.  For the
 column total V it returns W = V - p*(t >> 7); bytes() raises ValueError, in
 every mode, when W falls outside [0, 2^256).  Columns may be negative or
 exceed a byte.  For byte inputs the carry into the top limb is at most 39
-(red38), 2 (add_mod), 5 (sub_mod) and 1 (mul121666), so W < 2p:
-tests/test_gen_kernels.py proves that for all inputs.
+(red38), 2 (add_mod), 5 (sub_mod) and 1 (mul121666), so W < 2p.
 
   red38(m)          column k is m[k] + 38*m[k+32]: 64 columns, the high half
                     folded in as 38.  mp_arith.red512 is this function.
@@ -58,6 +57,10 @@ tests/test_gen_kernels.py proves that for all inputs.
 No generated function contains an assert or any other branch, and none holds
 a fault hook (packed25519.faults rebinds names from outside):
 tests/test_gen_kernels.py rejects every branch node.
+
+It also proves every claim above but cmov's (XOR is not polynomial) for
+all byte inputs, running render()'s text on values that are at once
+polynomials over atoms and intervals, and rejects mutants of that text.
 
 The modules are split because the parser's transient peak is per module and
 grows with the source's size: tests/test_gen_kernels.py holds every module
