@@ -24,7 +24,6 @@ counts as one failing check and ends that suite.
 import hashlib
 import json
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from . import fe25519, ladder, mp_arith, oracle
@@ -72,23 +71,24 @@ def edge_corpus() -> EdgeCorpus:
     return EdgeCorpus(u256, u512)
 
 
-@dataclass(frozen=True)
-class TrialConfig:
+class TrialConfig(NamedTuple):
     seed: int = 1
     trials: int = 20
     suites: Tuple[str, ...] = SUITE_NAMES
 
 
-@dataclass
 class SuiteResult:
-    """A suite's tally: checks run, failures, the first failure's text and
-    the suite's wall time."""
+    """A suite's tally: checks run, failures, the first failure's text, the
+    suite's wall time and the tag (`edge` or `trial=K`) of the check in
+    progress."""
 
-    name: str
-    cases: int = 0
-    failures: int = 0
-    counterexample: Optional[str] = None
-    elapsed_s: float = 0.0
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.cases = 0
+        self.failures = 0
+        self.counterexample: Optional[str] = None
+        self.elapsed_s = 0.0
+        self.at = "edge"
 
     @property
     def checks_per_s(self) -> float:
@@ -102,8 +102,7 @@ class SuiteResult:
                 self.counterexample = describe()
 
 
-@dataclass
-class TrialReport:
+class TrialReport(NamedTuple):
     seed: int
     trials: int
     suites: Dict[str, SuiteResult]
@@ -172,6 +171,7 @@ TWO_P = 2 * P
 # ---------------------------------------------------------------- mp suite
 
 def _check_mp_pair(t: SuiteResult, tag: str, a: bytes, b: bytes, m: bytes) -> None:
+    t.at = tag
     ia, ib = _int(a), _int(b)
     got = mp_arith.mul256(a, b)
     t.check(_int(got) == ia * ib,
@@ -208,6 +208,7 @@ def _suite_mp(cfg: TrialConfig, t: SuiteResult) -> None:
 # ---------------------------------------------------------------- fe suite
 
 def _check_fe_pair(t: SuiteResult, tag: str, a: bytes, b: bytes) -> None:
+    t.at = tag
     ia, ib = _int(a), _int(b)
 
     def cong(name: str, got: bytes, want: int) -> None:
@@ -239,6 +240,7 @@ def _suite_fe(cfg: TrialConfig, t: SuiteResult) -> None:
     for x in corpus.u256:
         for y in (0, 1, P - 1, P, 2 * P - 1, 2**256 - 1):
             _check_fe_pair(t, "edge", _le(x), _le(y))
+    t.at = "edge"
     zero, one = fe25519.setzero(), fe25519.setone()
     t.check(fe25519.invert(zero) == zero, lambda: "invert(0) != 0")
     inv2 = fe25519.freeze(fe25519.invert(_le(2)))
@@ -262,6 +264,7 @@ def _suite_fe(cfg: TrialConfig, t: SuiteResult) -> None:
 
 def _check_ladderstep(t: SuiteResult, tag: str, xp: bytes, r0: Tuple[bytes, bytes],
                       r1: Tuple[bytes, bytes]) -> None:
+    t.at = tag
     (gx1, gz1), (gx2, gz2) = ladder.ladderstep(xp, r0, r1)
     o0 = oracle.double(oracle.Ratio(_int(r0[0]), _int(r0[1])))
     o1 = oracle.add(oracle.Ratio(_int(r1[0]), _int(r1[1])),
@@ -286,6 +289,7 @@ _WORKED_LADDERSTEPS = (
 
 
 def _suite_ladderstep(cfg: TrialConfig, t: SuiteResult) -> None:
+    t.at = "edge"
     for xp, r0, r1, want in _WORKED_LADDERSTEPS:
         (gx1, gz1), (gx2, gz2) = ladder.ladderstep(
             _le(xp), (_le(r0[0]), _le(r0[1])), (_le(r1[0]), _le(r1[1])))
@@ -311,6 +315,7 @@ def _suite_ladderstep(cfg: TrialConfig, t: SuiteResult) -> None:
 # ----------------------------------------------------------- mladder suite
 
 def _check_mladder(t: SuiteResult, tag: str, n: int, xp_int: int) -> None:
+    t.at = tag
     X, Z = ladder.mladder(n, _le(xp_int))
     want, _ = oracle.ladder(n, oracle.Ratio(xp_int, 1))
     ok = (_int(X) % P == want.x % P and _int(Z) % P == want.z % P
@@ -332,6 +337,7 @@ def _suite_mladder(cfg: TrialConfig, t: SuiteResult) -> None:
 # -------------------------------------------------------- scalarmult suite
 
 def _check_scalarmult(t: SuiteResult, tag: str, s: bytes, u: bytes) -> None:
+    t.at = tag
     got = ladder.scalarmult(s, u)
     want = oracle.x25519(_int(s), _int(u))
     t.check(_int(got) == want and _int(got) < P,
@@ -340,6 +346,7 @@ def _check_scalarmult(t: SuiteResult, tag: str, s: bytes, u: bytes) -> None:
 
 
 def _suite_scalarmult(cfg: TrialConfig, t: SuiteResult) -> None:
+    t.at = "edge"
     for s_hex, u_hex, out_hex in RFC7748_VECTORS:
         got = ladder.scalarmult(bytes.fromhex(s_hex), bytes.fromhex(u_hex))
         t.check(got.hex() == out_hex,
@@ -355,6 +362,7 @@ def _suite_scalarmult(cfg: TrialConfig, t: SuiteResult) -> None:
 # ----------------------------------------------------------- findings suite
 
 def _check_finding(t: SuiteResult, tag: str, m: bytes) -> None:
+    t.at = tag
     r = mp_arith.red512(m)
     ir = _int(r)
     t.check(ir % P == _int(m) % P and ir < TWO_P,
@@ -388,8 +396,9 @@ def run_suite(cfg: TrialConfig) -> TrialReport:
     Configuration problems (a bad trial count or seed, an unknown or empty
     suite list) raise ValueError before anything runs.  An exception raised
     by the code under test is one failed check of its suite, whose
-    counterexample names the suite, the exception and the function that
-    raised it; that suite stops there, and the others still run.
+    counterexample names the suite, the exception, the function that raised
+    it and the check in progress (`edge` or `trial=K`); that suite stops
+    there, and the others still run.
     """
     if not isinstance(cfg.trials, int) or cfg.trials < 1:
         raise ValueError(f"trials must be a positive integer, got {cfg.trials!r}")
@@ -412,8 +421,9 @@ def run_suite(cfg: TrialConfig) -> TrialReport:
             _SUITES[name](cfg, res)
         except Exception as exc:
             import traceback  # here, so that only a run that raises loads it
-            at = traceback.extract_tb(exc.__traceback__)[-1]
-            res.check(False, lambda: f"{name} raised {type(exc).__name__}: {exc} (in {at.name})")
+            fn = traceback.extract_tb(exc.__traceback__)[-1].name
+            res.check(False, lambda: f"{name} raised {type(exc).__name__}: {exc} "
+                                     f"(in {fn}) at {res.at}")
         res.elapsed_s = time.perf_counter() - t0
     return TrialReport(cfg.seed, cfg.trials, results,
                        time.perf_counter() - started)

@@ -1,10 +1,11 @@
 """Deliberate fault switches for negative-control testing.
 
 The differential harness is only trustworthy if it demonstrably catches
-bugs.  A fault replaces the named `mp_arith` function, in every
-`packed25519.*` namespace that holds it (matched by identity, as perfbench's
-tracer installs its wrappers), with a copy that flips the low bit of limb 0
-of its result; the `subp` copy flips the difference and keeps the borrow.
+bugs.  A fault replaces the named `mp_arith` function (or, for `invert`,
+the `fe25519` one), in every `packed25519.*` namespace that holds it
+(matched by identity, as perfbench's tracer installs its wrappers), with a
+copy that flips the low bit of limb 0 of its result; the `subp` copy flips
+the difference and keeps the borrow.
 No kernel holds a hook.  Bindings made outside the package are not rebound.
 
 Faults are off unless names are listed in the PACKED25519_FAULTS
@@ -19,9 +20,10 @@ import sys
 from contextlib import contextmanager
 from typing import Callable, FrozenSet, Iterable, Iterator, List, Tuple
 
-from . import mp_arith
+from . import fe25519, mp_arith
 
-KNOWN = frozenset({"add_mod", "cmov", "mul121666", "mul256", "red512", "sqr256", "sub_mod", "subp"})
+KNOWN = frozenset({"add_mod", "cmov", "invert", "mul121666", "mul256", "red512", "sqr256",
+                   "sub_mod", "subp"})
 
 
 def _from_env() -> FrozenSet[str]:
@@ -56,7 +58,7 @@ def _rebind(names: Iterable[str]) -> List[Tuple[object, str, Callable]]:
     modules = [m for n, m in list(sys.modules.items()) if n.startswith(__package__ + ".")]
     undo = []
     for name in names:
-        original = getattr(mp_arith, name)
+        original = getattr(mp_arith if hasattr(mp_arith, name) else fe25519, name)
         faulty = _faulty(name, original)
         for mod in modules:
             for key, value in list(vars(mod).items()):
