@@ -1,8 +1,9 @@
 """The committed kernel modules are exactly what tools/gen_kernels.py emits,
-each is straight-line and stays within the parser's budget, and one symbolic
-evaluator proves every generated kernel but cmov for all inputs: mul16's
-columns, the exact products of mul256 and sqr256, the reductions'
-congruence and their bound below 2p, and subp's difference and borrow."""
+each is straight-line and stays within the parser's budget, every module of
+the package stays within its compile budget, and one symbolic evaluator
+proves every generated kernel but cmov for all inputs: mul16's columns, the
+exact products of mul256 and sqr256, the reductions' congruence and their
+bound below 2p, and subp's difference and borrow."""
 
 import ast
 import functools
@@ -19,9 +20,13 @@ GENERATOR = ROOT / "tools" / "gen_kernels.py"
 # inner Karatsuba level, and its compile peak by tracemalloc.  The parser's
 # transient peak grows with the node count (a flat 7927-node mul256 peaked
 # at 1586 KB), and no bytecode cache is written where PYTHONDONTWRITEBYTECODE
-# is set.  Nodes under-track reduction bodies, so both are held.
+# is set.  Nodes under-track reduction bodies, so both are held for generated
+# modules.  The compile peak is held for every module of the package too:
+# hand-written code parses at about 400 bytes per token, and the harness
+# peaked at 1383 KB while it was the one module difftest.py.
 PARSE_BUDGET = 5190
 COMPILE_PEAK_BUDGET = 987 * 1024
+PACKAGE = ROOT / "src" / "packed25519"
 P = 2**255 - 19
 
 
@@ -63,6 +68,12 @@ def test_every_generated_module_is_straight_line_and_within_the_parse_budget():
         assert peak <= COMPILE_PEAK_BUDGET, f"{path.name} peaks at {peak / 1024:.0f} KB in compile"
         branches = [f"{type(n).__name__} at line {n.lineno}" for n in nodes if isinstance(n, BRANCHES)]
         assert branches == [], f"{path.name} branches: {branches}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_package_module_is_within_the_compile_budget(path):
+    peak = _compile_peak(path.read_text(), path.name)
+    assert peak <= COMPILE_PEAK_BUDGET, f"{path.name} peaks at {peak / 1024:.0f} KB in compile"
 
 
 class Sym:

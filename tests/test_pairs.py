@@ -1,6 +1,9 @@
-"""The decision rule of tools/pairs.py on fixed lists of pair results."""
+"""tools/pairs.py: its decision rule on fixed lists of pair results, and its
+guards on fixed result objects and directories; no benchmark runs here."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,53 @@ def test_more_failed_operations_cancel_a_gain(pairs):
     change = [x - 0.8 for x in PARENT]
     assert pairs.verdict(PARENT, change, True, 0.0, 0.0).gain
     assert not pairs.verdict(PARENT, change, True, 0.0, 0.001).gain
+
+
+def _result(correct, failed=0):
+    return {"correct": correct, "attempted": 40, "failed": failed,
+            "metrics": {"peak_rss_mb": {"value": 20.9, "unit": "MB"}}}
+
+
+@pytest.fixture
+def bench(pairs, monkeypatch):
+    """Stand in for perfbench/run.py: record each call, print `bench.result`."""
+    class Bench:
+        calls = []
+        result = _result(True)
+
+    def fake_run(cmd, **kwargs):
+        Bench.calls.append(kwargs)
+        out = '# details: {"prechecks_failed": ["the RFC vector"]}\n' + json.dumps(Bench.result)
+        return subprocess.CompletedProcess(cmd, 0, out + "\n", "")
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    return Bench
+
+
+def test_every_run_writes_no_bytecode_cache(pairs, bench, tmp_path):
+    assert pairs.run(tmp_path, "dh", 301) == _result(True)
+    assert bench.calls[0]["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert bench.calls[0]["cwd"] == tmp_path
+
+
+def test_a_result_that_is_not_correct_stops_the_tool(pairs, bench, tmp_path):
+    # a failed precheck: no operation failed, but the run is not correct
+    bench.result = _result(False, failed=0)
+    with pytest.raises(SystemExit, match="not correct .failed 0 of 40.\n# details: .*RFC vector"):
+        pairs.run(tmp_path, "dh", 301)
+
+
+def test_a_bytecode_cache_on_either_side_is_refused_before_any_run(pairs, bench, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for top in ("src/packed25519", "perfbench", "tests"):
+        (a / top).mkdir(parents=True)
+        (b / top).mkdir(parents=True)
+    (b / "tests" / "__pycache__").mkdir()  # not under src/ or perfbench/: not the benchmark's
+    assert pairs.bytecode_caches(a) == pairs.bytecode_caches(b) == []
+    (b / "src" / "packed25519" / "__pycache__").mkdir()
+    (a / "perfbench" / "__pycache__").mkdir()
+    argv = [str(a), str(b), "--workload", "dh", "--seeds", *map(str, range(301, 311))]
+    with pytest.raises(SystemExit) as stop:
+        pairs.main(argv)
+    assert str(a / "perfbench" / "__pycache__") in str(stop.value)
+    assert str(b / "src" / "packed25519" / "__pycache__") in str(stop.value)
+    assert bench.calls == []

@@ -17,11 +17,17 @@ B's median against A's and the verdict of the rule:
   within   B's median is no worse than A's by more than the metric's bound
   WORSE    B's median is worse than A's by more than the bound
 
-A run that does not finish, or prints no result, stops the tool.
+Every run has PYTHONDONTWRITEBYTECODE=1 in its environment, as the
+benchmark runs it, so each process pays its own parse.  The tool refuses to
+start while either checkout holds a `__pycache__` under `src/` or
+`perfbench/`: a cache on one side alone fakes a gain in `setup_s` and
+`peak_rss_mb`.  A run that does not finish, prints no result, or prints a
+result whose `correct` is false stops the tool.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -58,15 +64,26 @@ def verdict(a: List[float], b: List[float], lower_is_better: bool,
     return Verdict(wins, gap, q3 - q1, gain)
 
 
+def bytecode_caches(checkout: Path) -> List[Path]:
+    """Every `__pycache__` directory under the checkout's src/ and perfbench/."""
+    return sorted(path for top in ("src", "perfbench")
+                  for path in (checkout / top).rglob("__pycache__"))
+
+
 def run(checkout: Path, workload: str, seed: int) -> dict:
     """The result object of one benchmark run in `checkout`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(SECONDS)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(lines[-1])
+    res = json.loads(lines[-1])
+    if not res["correct"]:
+        sys.exit(f"pairs: {' '.join(cmd)} in {checkout} is not correct "
+                 f"(failed {res['failed']} of {res['attempted']})\n" + "\n".join(lines[-2:-1]))
+    return res
 
 
 def main(argv: List[str]) -> int:
@@ -76,6 +93,10 @@ def main(argv: List[str]) -> int:
     p.add_argument("--workload", choices=("dh", "selftest"), required=True)
     p.add_argument("--seeds", type=int, nargs=PAIRS, required=True, metavar="SEED")
     args = p.parse_args(argv)
+    caches = bytecode_caches(args.checkout_a) + bytecode_caches(args.checkout_b)
+    if caches:
+        sys.exit("pairs: remove the bytecode caches first, or one side skips the parse "
+                 "the benchmark measures:\n" + "\n".join(map(str, caches)))
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     results: Dict[str, List[dict]] = {"A": [], "B": []}
