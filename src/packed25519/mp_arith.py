@@ -70,10 +70,10 @@ products.
 `subp` is one carry display over a[k] - p[k] with every limb masked, and
 `cmov` a masked move per limb; both are in `_linear` with `mul121666`.
 
-tests/test_gen_kernels.py proves these claims for all byte inputs: exact
-products, the reductions' congruence below 2p with those top carries, and
-subp's d = a - p + 2^256*borrow.  `cmov` is XOR, which is not polynomial,
-so it is only sampled.
+tests/_proof.py proves these claims for all byte inputs: exact products,
+the reductions' congruence below 2p with those top carries, subp's
+d = a - p + 2^256*borrow, and cmov's move: every limb of its text is
+a ^ ((a ^ b) & m), which is right in all 256*256*2 cases.
 
 Control flow never depends on limb values: the generated code has no branch
 or loop, and carries and borrows are arithmetic.  (CPython integers are not

@@ -1,0 +1,277 @@
+"""Proofs for all inputs: `_run` executes a module's source text among
+stand-ins, which also answer its relative imports, so no packed25519 module
+attribute is rebound.  A generated kernel runs on `Sym` values with `bytes`
+bound to `tuple`; fe25519.py and ladder.py run with each kernel replaced by
+its proved contract (mul256 is a*b, red512 keeps its value mod p, ...)."""
+
+import ast
+import builtins
+import collections
+import functools
+import itertools
+import runpy
+import types
+from pathlib import Path
+
+from packed25519 import oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "packed25519"
+P = 2**255 - 19
+
+
+def render():
+    """tools/gen_kernels.py's output: each generated module's path and text."""
+    return runpy.run_path(str(ROOT / "tools" / "gen_kernels.py"))["render"]()
+
+
+@functools.cache
+def sources():
+    """The rendered modules' texts, and fe25519.py's and ladder.py's."""
+    texts = {path.name: text for path, text in render().items()}
+    texts.update((name, (PACKAGE / name).read_text()) for name in ("fe25519.py", "ladder.py"))
+    return texts
+
+
+def _run(text, name, /, optimize=-1, **stand_ins):
+    """Execute the module source `text` in a namespace of `stand_ins`,
+    which also answer its relative imports; return the namespace."""
+    def import_(*args):  # name, globals, locals, fromlist, level
+        return types.SimpleNamespace(**stand_ins) if args[4] else __import__(*args)
+    namespace = {**stand_ins, "__builtins__": {**vars(builtins), "__import__": import_}}
+    exec(compile(text, name, "exec", optimize=optimize), namespace)
+    return namespace
+
+
+def _counting(counts, name, fn, stack):
+    """fn, counting its calls by name and by caller>name, as perfbench's
+    tracer keys them."""
+    def counted(*args):
+        counts.update([name, *(f"{caller}>{name}" for caller in stack[-1:])])
+        stack.append(name)
+        out = fn(*args)
+        stack.pop()
+        return out
+    return counted
+
+
+class Sym:
+    """An integer a generated kernel computes, known two ways at once: as a
+    polynomial with integer coefficients over atoms, and as an interval.
+
+    The atoms are the input limbs and one fresh quotient atom per right
+    shift, which stands for that shift's floor.  x & (2^s - 1) is
+    x - 2^s * (x >> s) for every Python int, so an identity between the
+    polynomials of two results holds whatever the quotients are.  Each
+    operation keeps the intersection of two intervals, both sound for every
+    input: the one it computes from its operands' intervals, which keeps a
+    carry chain's bounds, and the one its polynomial implies term by term,
+    which sees that a Karatsuba middle s - l - h is a sum of products.  A
+    monomial is a sorted tuple of atoms, and an atom is (id, lo, hi)."""
+
+    log = []  # every value built since the last reset
+    _ids = itertools.count()
+
+    def __init__(self, poly, lo, hi):
+        self.poly = {m: k for m, k in poly.items() if k}
+        plo = phi = 0
+        for mono, k in self.poly.items():
+            mlo = mhi = k
+            for _, a, b in mono:
+                ends = (mlo * a, mlo * b, mhi * a, mhi * b)
+                mlo, mhi = min(ends), max(ends)
+            plo, phi = plo + mlo, phi + mhi
+        self.lo, self.hi, self.shifts = max(lo, plo), min(hi, phi), {}
+        Sym.log.append(self)
+
+    @classmethod
+    def atom(cls, lo, hi):
+        return cls({((next(cls._ids), lo, hi),): 1}, lo, hi)
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, Sym) else Sym({(): x}, x, x)
+
+    def __add__(self, other, sign=1):
+        other = Sym.lift(other)
+        poly = dict(self.poly)
+        for m, k in other.poly.items():
+            poly[m] = poly.get(m, 0) + sign * k
+        lo, hi = sorted((sign * other.lo, sign * other.hi))
+        return Sym(poly, self.lo + lo, self.hi + hi)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        return Sym({m: -k for m, k in self.poly.items()}, -self.hi, -self.lo)
+
+    def __mul__(self, other):
+        other = Sym.lift(other)
+        poly = {}
+        for (m1, k1), (m2, k2) in itertools.product(self.poly.items(), other.poly.items()):
+            m = tuple(sorted(m1 + m2))
+            poly[m] = poly.get(m, 0) + k1 * k2
+        ends = [x * y for x in (self.lo, self.hi) for y in (other.lo, other.hi)]
+        return Sym(poly, min(ends), max(ends))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __pow__(self, n):
+        return functools.reduce(Sym.__mul__, [self] * n)
+
+    def __rshift__(self, s):
+        # the same shift of the same value is the same quotient atom
+        if s not in self.shifts:
+            self.shifts[s] = Sym.atom(self.lo >> s, self.hi >> s)
+        return self.shifts[s]
+
+    def __and__(self, mask):
+        s = mask.bit_length()
+        assert mask == 2**s - 1
+        return Sym((self - (self >> s) * 2**s).poly, 0, mask)
+
+    def __bool__(self):
+        raise TypeError("control flow depends on limb data")
+
+
+def _value(limbs):
+    return sum(x * 2**(8 * k) for k, x in enumerate(limbs))
+
+
+def _mul16(cols, seen, spec, a, b):
+    # operands are byte limbs or sums of two, at most 510
+    assert len(cols) == 31
+    for k, col in enumerate(cols):
+        schoolbook = sum(a[i] * b[k - i] for i in range(max(0, k - 15), min(k, 15) + 1))
+        assert not (col - schoolbook).poly, f"column {k} is not the schoolbook column"
+
+
+def _product(out, seen, spec, *operands):
+    assert not (_value(out) - spec(*map(_value, operands))).poly, "value(out) is not the product"
+    assert all(0 <= x.lo and x.hi <= 255 for x in out), "a limb can leave [0, 255]"
+
+
+def _reduction(top_carry):
+    """W = spec (mod p) and 0 <= W < 2p, with the given carry into the top
+    limb, for every byte input."""
+    def claim(out, seen, spec, *operands):
+        w = _value(out)
+        # algebraic: W - spec is p times an integer combination of the atoms
+        assert all(k % P == 0 for k in (w - spec(*map(_value, operands))).poly.values()), "not spec mod p"
+        # range: every entry is a byte; for the unmasked top limb, (L >> 248)
+        # + (t & 127), that says the lower part L is never negative and its
+        # carry plus 127 stays below 256
+        assert all(x.lo >= 0 for x in out), "the lower part can be negative"
+        assert all(x.hi <= 255 for x in out), "the top limb can exceed a byte"
+        assert w.hi < 2 * P, "W can reach 2p"
+        assert out[-1].hi - 127 == top_carry
+    return claim
+
+
+def _subp(out, seen, spec, a):
+    d, borrow = out
+    assert not (_value(d) - (_value(a) - P + borrow * 2**256)).poly, "value(d) is not a - p + 2^256 borrow"
+    assert all(0 <= x.lo and x.hi <= 255 for x in d), "a limb can leave [0, 255]"
+    assert 0 <= borrow.lo and borrow.hi <= 1, "the borrow can leave [0, 1]"
+
+
+# Every generated kernel that computes a polynomial (cmov, a masked move,
+# has its own proof below): its module, its operands' widths, the bound of
+# their limbs, its contract and its claim.  For byte inputs the carry into a
+# reduction's top limb is at most 39, 2, 5 and 1, so its result is below
+# 167, 130, 133 and 129 times 2^248, all below 2p.
+KERNELS = {
+    "mul16": ("_kernels.py", (16, 16), 510, None, _mul16),
+    "mul256": ("_kernels.py", (32, 32), 255, lambda a, b: a * b, _product),
+    "sqr256": ("_square.py", (32,), 255, lambda a: a * a, _product),
+    "red38": ("_reduce.py", (64,), 255, lambda m: m, _reduction(39)),
+    "add_mod": ("_reduce.py", (32, 32), 255, lambda a, b: a + b, _reduction(2)),
+    "sub_mod": ("_reduce.py", (32, 32), 255, lambda a, b: a - b, _reduction(5)),
+    "mul121666": ("_linear.py", (32,), 255, lambda a: 121666 * a, _reduction(1)),
+    "subp": ("_linear.py", (32,), 255, None, _subp),
+}
+
+
+def _run_kernel(name, text):
+    """Run the kernel `name` of the module source `text` on atoms, with
+    bytes() bound to tuple so that its entries come back unchecked; return
+    its result, every value it built and its operands."""
+    module, widths, bound, _, _ = KERNELS[name]
+    kernel = _run(text, module, bytes=tuple)[name]
+    Sym.log = []
+    operands = [[Sym.atom(0, bound) for _ in range(n)] for n in widths]
+    out = kernel(*operands)
+    seen, Sym.log = Sym.log, []
+    return out, seen, operands
+
+
+def _cmov(text):
+    """cmov(a, b, c) is b when c = 1 and a when c = 0: its body is one
+    masked move per limb, and that move is right in all 256*256*2 cases."""
+    body = next(f for f in ast.parse(text).body if getattr(f, "name", "") == "cmov").body[1:]
+    unpack = [", ".join(f"{x}{k}" for k in range(32)) + f" = {x}" for x in "ab"]
+    moves = ", ".join(f"a{k} ^ (a{k} ^ b{k}) & m" for k in range(32))
+    want = [*unpack, "m = -c & 255", f"return bytes(({moves}))"]
+    assert [ast.unparse(s) for s in body] == want, "a limb is not the masked move"
+    assert all(a ^ ((a ^ b) & (-c & 255)) == (b if c else a)
+               for a in range(256) for b in range(256) for c in (0, 1))
+
+
+def _fe(text, **kernels):
+    """fe25519.py's namespace, with each kernel it imports standing in as
+    its proved contract unless `kernels` gives one."""
+    contracts = {name: KERNELS[name][3] for name in ("mul256", "sqr256", "add_mod", "sub_mod", "mul121666")}
+    return _run(text, "fe25519.py", **{**contracts, "P": P, "red512": KERNELS["red38"][3],
+                                       "cmov": lambda a, b, c: b if c else a, "subp": None, **kernels})
+
+
+def _ladderstep(text):
+    """ladderstep's four outputs are exactly oracle.double's and
+    oracle.add's polynomials in X1, Z1, X2, Z2 and xp."""
+    fe = _fe(sources()["fe25519.py"])
+    ladderstep = _run(text, "ladder.py", **fe, fe25519=types.SimpleNamespace(**fe))["ladderstep"]
+    x1, z1, x2, z2, xp = (Sym.atom(0, P - 1) for _ in range(5))
+    r0, r1 = oracle.Ratio(x1, z1), oracle.Ratio(x2, z2)
+    got = sum(ladderstep(xp, r0, r1), ())
+    want = (*oracle.double(r0), *oracle.add(r1, r0, oracle.Ratio(xp, 1)))
+    assert all(not (g - w).poly for g, w in zip(got, want, strict=True)), "ladderstep is not the oracle's formulas"
+
+
+def _invert(text):
+    """invert's chain is a^(p-2) in 254 S and 11 M: run it on exponents,
+    where squaring doubles and multiplying adds."""
+    counts, stack = collections.Counter(), []
+    fe = _fe(text, sqr256=_counting(counts, "S", lambda e: 2 * e, stack),
+             mul256=_counting(counts, "M", lambda e, f: e + f, stack))
+    assert fe["invert"](1) == P - 2, "invert's exponent is not p - 2"
+    assert counts == {"S": 254, "M": 11}, f"invert makes {dict(counts)}"
+
+
+def _freeze(text):
+    """freeze(a) is congruent to a and below p for every a < 2p.  subp's
+    proved contract, d = a - p + 2^256 borrow with d in [0, 2^256), makes the
+    borrow 1 exactly when a < p: split on it."""
+    for borrow, a in ((1, Sym.atom(0, P - 1)), (0, Sym.atom(P, 2 * P - 1))):
+        d = a - P + 2**256 * borrow
+        assert 0 <= d.lo and d.hi < 2**256, "this case is not subp's"
+        out = _fe(text, subp={a: (d, borrow)}.get)["freeze"](a)  # subp of anything else is None
+        assert all(k % P == 0 for k in (out - a).poly.values()), "freeze's result is not a mod p"
+        assert 0 <= out.lo and out.hi < P, "freeze's result can reach p"
+
+
+def _kernel(name, text):
+    out, seen, operands = _run_kernel(name, text)
+    KERNELS[name][4](out, seen, KERNELS[name][3], *operands)
+
+
+# Every claim, by name: its module and its proof.
+PROOFS = {**{name: (row[0], functools.partial(_kernel, name)) for name, row in KERNELS.items()},
+          "cmov": ("_linear.py", _cmov), "freeze": ("fe25519.py", _freeze),
+          "invert": ("fe25519.py", _invert), "ladderstep": ("ladder.py", _ladderstep)}
+
+
+def prove(name, text=None):
+    """Assert the claim `name` of its module's text, or of `text`."""
+    module, check = PROOFS[name]
+    check(sources()[module] if text is None else text)

@@ -125,3 +125,23 @@ def test_faulty_build_via_environment_exits_1(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+
+
+def test_optimized_mode_gives_the_same_outputs(tmp_path):
+    """python -O runs the same code: selftest's report, the RFC 7748 vectors
+    and iterate 1 equal the default mode's, apart from timings."""
+    def outputs(*flags):
+        path = tmp_path / f"report{len(flags)}.json"
+        script = "from packed25519.cli import main\n" + "".join(
+            f"main({argv!r})\n" for argv in [
+                ["selftest", "--seed", "1", "--trials", "3", "--json", str(path)],
+                *(["scalarmult", s, u] for s, u, _ in RFC7748_VECTORS), ["iterate", "1"]])
+        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(path.read_text())
+        del report["elapsed_s"]
+        for res in report["suites"].values():
+            del res["elapsed_s"], res["checks_per_s"]
+        return report, proc.stdout.splitlines()[-len(RFC7748_VECTORS) - 1:]
+
+    assert outputs("-O") == outputs()

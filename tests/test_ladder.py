@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from packed25519 import ladder, oracle
-from packed25519.ladder import BASE_POINT_U, clamp, cswap, ladderstep, mladder, scalarmult
+from packed25519.ladder import BASE_POINT_U, clamp, cswap, mladder, scalarmult
 
 P = oracle.P
 
@@ -51,23 +51,6 @@ def test_cswap():
     r1 = (le(3), le(4))
     assert cswap(r0, r1, 0) == (r0, r1)
     assert cswap(r0, r1, 1) == (r1, r0)
-
-
-# ------------------------------------------------------------- ladderstep
-
-def reduced(pair):
-    return val(pair[0]) % P, val(pair[1]) % P
-
-
-def test_ladderstep_keeps_difference_fixed():
-    # r1 - r0 = P is the ladder's loop invariant; after one step the new
-    # difference is still P
-    n = 11
-    r0 = oracle.scale(n, 9)
-    r1 = oracle.scale(n + 1, 9)
-    g0, g1 = ladderstep(le(9), (le(r0.x), le(r0.z)), (le(r1.x), le(r1.z)))
-    assert oracle.equiv(oracle.Ratio(*reduced(g0)), oracle.scale(2 * n, 9))
-    assert oracle.equiv(oracle.Ratio(*reduced(g1)), oracle.scale(2 * n + 1, 9))
 
 
 # ---------------------------------------------------------------- mladder

@@ -58,9 +58,9 @@ No generated function contains an assert or any other branch, and none holds
 a fault hook (packed25519.faults rebinds names from outside):
 tests/test_gen_kernels.py rejects every branch node.
 
-It also proves every claim above but cmov's (XOR is not polynomial) for
-all byte inputs, running render()'s text on values that are at once
-polynomials over atoms and intervals, and rejects mutants of that text.
+tests/_proof.py proves every claim above for all byte inputs: it runs
+render()'s text on values that are at once polynomials over atoms and
+intervals, reads cmov's text limb by limb, and rejects mutants of it.
 
 The modules are split because the parser's transient peak is per module and
 grows with the source's size: tests/test_gen_kernels.py holds every module
