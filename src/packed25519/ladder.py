@@ -85,9 +85,11 @@ def mladder(n: int, xp: FieldElem) -> Ratio:
 
     Callers must clamp first: n even, bit 254 set, bit 255 clear.  An odd n
     is not rejected but leaves the registers un-swapped, so the returned
-    ratio is x((n+1)P) rather than x(nP) — the regression tests pin this
-    down.  Bit 254 is checked because it fixes the iteration count and
-    keeps the first step from doubling the point at infinity.
+    ratio is x((n+1)P) rather than x(nP): the `mladder` proof in
+    tests/_proof.py shows the multiple n + 1 for every odd n, and the
+    acceptance gate's C7(b) that x((n+1)P) is not x(nP).  Bit 254 is
+    checked because it fixes the iteration count and keeps the first step
+    from doubling the point at infinity.
     """
     if n >> 254 != 1:
         raise ValueError("mladder requires bit 254 set and bit 255 clear")

@@ -2,7 +2,8 @@
 stand-ins, which also answer its relative imports, so no packed25519 module
 attribute is rebound.  A generated kernel runs on `Sym` values with `bytes`
 bound to `tuple`; fe25519.py and ladder.py run with each kernel replaced by
-its proved contract (mul256 is a*b, red512 keeps its value mod p, ...)."""
+its proved contract (mul256 is a*b, red512 keeps its value mod p, ...),
+and mladder runs on `Bits`, a scalar's bits as symbols."""
 
 import ast
 import builtins
@@ -218,19 +219,148 @@ def _cmov(text):
                for a in range(256) for b in range(256) for c in (0, 1))
 
 
+class Bits(dict):
+    """A polynomial in scalar bits, each 0 or 1.  A monomial is a frozenset
+    of bit indices, so b*b = b.  A multilinear polynomial is unique for the
+    function it computes on the bits, so two values are equal for every
+    value of the bits exactly when they are equal here, and x is 0 or 1 for
+    every value of the bits exactly when x*x == x."""
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, Bits) else Bits({frozenset(): x})
+
+    def __init__(self, terms):
+        super().__init__((m, k) for m, k in terms.items() if k)
+
+    def __add__(self, other, sign=1):
+        terms = dict(self)
+        for m, k in Bits.lift(other).items():
+            terms[m] = terms.get(m, 0) + sign * k
+        return Bits(terms)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __rsub__(self, other):
+        return Bits.lift(other) - self
+
+    def __mul__(self, other):
+        terms = {}
+        for (m1, k1), (m2, k2) in itertools.product(self.items(), Bits.lift(other).items()):
+            terms[m1 | m2] = terms.get(m1 | m2, 0) + k1 * k2
+        return Bits(terms)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __xor__(self, other):
+        assert all(x * x == x for x in (self, other)), "^ of a value that is not a bit"
+        return self + other - 2 * self * other
+
+    __rxor__ = __xor__
+
+    def __eq__(self, other):
+        return dict.__eq__(self, Bits.lift(other))
+
+    def __bool__(self):
+        raise TypeError("control flow depends on scalar bits")
+
+
+class _Scalar(tuple):
+    """A scalar as its bits, lowest first, some of them `Bits`: n >> s drops
+    s bits and is an int once no bit is symbolic, and (n >> s) & 1 is bit s."""
+
+    def __rshift__(self, s):
+        rest = self[s:]
+        if any(isinstance(b, Bits) for b in rest):
+            return _Scalar(rest)
+        return sum(b << k for k, b in enumerate(rest))
+
+    def __and__(self, mask):
+        assert mask == 1
+        return self[0]
+
+
+def _select(a, b, c):
+    """cmov's proved contract, b when c = 1 and a when c = 0, written
+    a + c*(b - a) so that c may be a polynomial in scalar bits."""
+    assert c * c == c, "cmov's mask can be neither 0 nor 1"
+    return a + c * (b - a)
+
+
 def _fe(text, **kernels):
     """fe25519.py's namespace, with each kernel it imports standing in as
     its proved contract unless `kernels` gives one."""
     contracts = {name: KERNELS[name][3] for name in ("mul256", "sqr256", "add_mod", "sub_mod", "mul121666")}
     return _run(text, "fe25519.py", **{**contracts, "P": P, "red512": KERNELS["red38"][3],
-                                       "cmov": lambda a, b, c: b if c else a, "subp": None, **kernels})
+                                       "cmov": _select, "subp": None, **kernels})
+
+
+def _ladder(text, **fe):
+    """ladder.py's namespace on fe25519.py's, with `fe`'s names in place of
+    fe25519's."""
+    fe = {**_fe(sources()["fe25519.py"]), **fe}
+    return _run(text, "ladder.py", **fe, fe25519=types.SimpleNamespace(**fe))
+
+
+def _cswap(text):
+    """cswap leaves both ratios when swap = 0 and exchanges both when
+    swap = 1, all four registers included, on cmov's contract."""
+    cswap = _ladder(text)["cswap"]
+    r0, r1 = [(Sym.atom(0, P - 1), Sym.atom(0, P - 1)) for _ in range(2)]
+    for swap, want in ((0, r0 + r1), (1, r1 + r0)):
+        got = sum(cswap(r0, r1, swap), ())
+        assert all(not (g - w).poly for g, w in zip(got, want, strict=True)), \
+            f"cswap does not exchange both ratios exactly when swap is 1 (swap = {swap})"
+
+
+def _mladder(text):
+    """For every n with bit 254 set, mladder makes 255 steps and 255 swaps
+    and returns the multiple n when n is even and n + 1 when n is odd.
+
+    One run covers every such n: bits 0..253 are `Bits` atoms, so every
+    value of them runs at once, and control flow that reads them raises.
+    A register holding k times the point P is labelled (k + 1, k):
+    setone() is 1, setzero() is 0 and xp is 2, so the ladder starts from
+    (1 : 0) = 0P and (xp : 1) = 1P.  ladderstep stands in as its proved
+    contract on multiples, (k0, k1) to (2k0, k0 + k1) with difference
+    xp.  The induction: before the step for bit i the registers hold
+    (m, m + 1), m = n >> (i + 1), exchanged exactly when bit i is 1; the
+    step then leaves (m', m' + 1), m' = n >> i, exchanged exactly when
+    bit i is 1.  Each step checks it, for all four (bit i, bit i + 1)
+    transitions at once."""
+    bits = [*(Bits({frozenset([j]): 1}) for j in range(254)), 1]
+    n = sum(b * 2**j for j, b in enumerate(bits))
+    counts, stack, m = collections.Counter(), [], 0
+
+    def multiple(ratio):
+        x, z = ratio
+        assert x == z + 1, "a register's X and Z hold different multiples"
+        return z
+
+    def step(xp, r0, r1):
+        nonlocal m
+        i = 255 - counts["ladderstep"]
+        b, (k0, k1) = bits[i], map(multiple, (r0, r1))
+        assert xp == 2, "a step's difference is not xp"
+        assert (k0, k1) == (m + b, m + 1 - b), \
+            f"before the step for bit {i}, the registers are not exchanged exactly when bit {i} is 1"
+        m = 2 * m + b
+        return (2 * k0 + 1, 2 * k0), (k0 + k1 + 1, k0 + k1)
+
+    ladder = _ladder(text, setone=lambda: 1, setzero=lambda: 0)
+    ladder["ladderstep"] = _counting(counts, "ladderstep", step, stack)
+    ladder["cswap"] = _counting(counts, "cswap", ladder["cswap"], stack)
+    got = multiple(ladder["mladder"](_Scalar(bits), 2))
+    assert counts == {"ladderstep": 255, "cswap": 255}, \
+        f"mladder makes {counts['ladderstep']} steps and {counts['cswap']} swaps"
+    assert got == n + bits[0], "mladder does not return n for even n and n + 1 for odd n"
 
 
 def _ladderstep(text):
     """ladderstep's four outputs are exactly oracle.double's and
     oracle.add's polynomials in X1, Z1, X2, Z2 and xp."""
-    fe = _fe(sources()["fe25519.py"])
-    ladderstep = _run(text, "ladder.py", **fe, fe25519=types.SimpleNamespace(**fe))["ladderstep"]
+    ladderstep = _ladder(text)["ladderstep"]
     x1, z1, x2, z2, xp = (Sym.atom(0, P - 1) for _ in range(5))
     r0, r1 = oracle.Ratio(x1, z1), oracle.Ratio(x2, z2)
     got = sum(ladderstep(xp, r0, r1), ())
@@ -268,7 +398,8 @@ def _kernel(name, text):
 # Every claim, by name: its module and its proof.
 PROOFS = {**{name: (row[0], functools.partial(_kernel, name)) for name, row in KERNELS.items()},
           "cmov": ("_linear.py", _cmov), "freeze": ("fe25519.py", _freeze),
-          "invert": ("fe25519.py", _invert), "ladderstep": ("ladder.py", _ladderstep)}
+          "invert": ("fe25519.py", _invert), "ladderstep": ("ladder.py", _ladderstep),
+          "cswap": ("ladder.py", _cswap), "mladder": ("ladder.py", _mladder)}
 
 
 def prove(name, text=None):

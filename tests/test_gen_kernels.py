@@ -98,6 +98,11 @@ def test_generated_kernel_is_proved_for_all_inputs(name):
     # two lines swapped: t2 takes x1 before it is squared
     ("ladderstep", [("x1 = square(x1)\n    t2 = sub(z2, x1)", "t2 = sub(z2, x1)\n    x1 = square(x1)")],
      "not the oracle's"),
+    ("cswap", [("cmov(z0, z1, swap)", "z0"), ("cmov(z1, z0, swap)", "z1")],
+     "not exchange both ratios"),  # only the x registers exchanged
+    ("mladder", [("cswap(r0, r1, bit ^ prev)", "cswap(r0, r1, bit)")],
+     "not exchanged exactly when bit 253 is 1"),  # never undoes the last swap
+    ("mladder", [("range(254, -1, -1)", "range(254, 0, -1)")], "makes 254 steps"),  # bit 0 skipped
 ])
 def test_proof_rejects_kernel_mutants(name, edits, reason):
     text = sources()[PROOFS[name][0]]

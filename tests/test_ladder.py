@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from packed25519 import ladder, oracle
-from packed25519.ladder import BASE_POINT_U, clamp, cswap, mladder, scalarmult
+from packed25519 import oracle
+from packed25519.ladder import BASE_POINT_U, clamp, mladder, scalarmult
 
 P = oracle.P
 
@@ -44,15 +44,6 @@ def test_clamp_rejects_wrong_length():
         clamp(b"\x00" * 16)
 
 
-# ----------------------------------------------------------------- cswap
-
-def test_cswap():
-    r0 = (le(1), le(2))
-    r1 = (le(3), le(4))
-    assert cswap(r0, r1, 0) == (r0, r1)
-    assert cswap(r0, r1, 1) == (r1, r0)
-
-
 # ---------------------------------------------------------------- mladder
 
 def test_mladder_requires_bit_254():
@@ -89,36 +80,6 @@ def test_scalarmult_takes_only_bytes_under_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "rejected\n"
-
-
-def record_swaps(monkeypatch):
-    """Swap bits of every cswap that mladder makes, in call order."""
-    trace = []
-
-    def recording_cswap(r0, r1, swap):
-        trace.append(swap)
-        return cswap(r0, r1, swap)
-
-    monkeypatch.setattr(ladder, "cswap", recording_cswap)
-    return trace
-
-
-def test_mladder_runs_255_fixed_iterations(monkeypatch):
-    trace = record_swaps(monkeypatch)
-    mladder(2**254, le(9))
-    assert len(trace) == 255
-
-
-def test_mladder_swap_count_equals_bit_transitions(monkeypatch):
-    rng = random.Random(25)
-    trace = record_swaps(monkeypatch)
-    for _ in range(10):
-        n = clamp(le(rng.randrange(2**256)))
-        trace.clear()
-        mladder(n, le(9))
-        bits = [(n >> i) & 1 for i in range(254, -1, -1)]
-        transitions = sum(a != b for a, b in zip([0] + bits, bits))
-        assert sum(trace) == transitions
 
 
 def test_mladder_odd_scalar_lands_on_the_wrong_slot():

@@ -13,7 +13,7 @@ sys.path.append(str(ROOT / "perfbench"))
 from workloads import TRACED, dh_ledger  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["freeze", "invert", "ladderstep"])
+@pytest.mark.parametrize("name", ["freeze", "invert", "ladderstep", "cswap", "mladder"])
 def test_layer_is_proved_for_all_inputs(name):
     prove(name)
 
