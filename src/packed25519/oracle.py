@@ -50,11 +50,6 @@ def equiv(r: Ratio, q: Ratio) -> bool:
     return congruent(r.x * q.z, q.x * r.z)
 
 
-def eq_x(x: int, r: Ratio) -> bool:
-    """Does the ratio r denote the affine x-coordinate x?"""
-    return equiv(Ratio(x, 1), r)
-
-
 def double(n: Ratio) -> Ratio:
     """x(2N) from x(N): Montgomery's doubling formula, raw integers.
 

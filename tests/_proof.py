@@ -186,7 +186,7 @@ KERNELS = {
     "mul16": ("_kernels.py", (16, 16), 510, None, _mul16),
     "mul256": ("_kernels.py", (32, 32), 255, lambda a, b: a * b, _product),
     "sqr256": ("_square.py", (32,), 255, lambda a: a * a, _product),
-    "red38": ("_reduce.py", (64,), 255, lambda m: m, _reduction(39)),
+    "red512": ("_reduce.py", (64,), 255, lambda m: m, _reduction(39)),
     "add_mod": ("_reduce.py", (32, 32), 255, lambda a, b: a + b, _reduction(2)),
     "sub_mod": ("_reduce.py", (32, 32), 255, lambda a, b: a - b, _reduction(5)),
     "mul121666": ("_linear.py", (32,), 255, lambda a: 121666 * a, _reduction(1)),
@@ -291,9 +291,9 @@ def _select(a, b, c):
 def _fe(text, **kernels):
     """fe25519.py's namespace, with each kernel it imports standing in as
     its proved contract unless `kernels` gives one."""
-    contracts = {name: KERNELS[name][3] for name in ("mul256", "sqr256", "add_mod", "sub_mod", "mul121666")}
-    return _run(text, "fe25519.py", **{**contracts, "P": P, "red512": KERNELS["red38"][3],
-                                       "cmov": _select, "subp": None, **kernels})
+    contracts = {name: KERNELS[name][3] for name in ("mul256", "sqr256", "red512", "add_mod", "sub_mod",
+                                                     "mul121666")}
+    return _run(text, "fe25519.py", **{**contracts, "cmov": _select, "subp": None, **kernels})
 
 
 def _ladder(text, **fe):

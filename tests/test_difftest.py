@@ -133,16 +133,16 @@ def test_broken_kernel_is_caught(fault, suites):
 
 
 def test_an_exception_in_a_suite_is_a_failed_check(monkeypatch):
-    # a red512 that hands red38 a column no byte input gives, so that red38's
-    # own overflow check, bytes()'s range check, fires
+    # a red512 that hands the generated one a column no byte input gives, so
+    # that the kernel's own overflow check, bytes()'s range check, fires
     overflow = (0,) * 31 + (2**300,) + (0,) * 32
-    monkeypatch.setattr(mp_arith, "red512", lambda m: _reduce.red38(overflow))
+    monkeypatch.setattr(mp_arith, "red512", lambda m: _reduce.red512(overflow))
     report = run_suite(TrialConfig(trials=1, suites=("ladderstep", "findings")))
     assert not report.ok
     res = report.suites["findings"]
     assert (res.cases, res.failures) == (1, 1)
     assert res.counterexample == ("findings raised ValueError: bytes must be in range(0, 256) "
-                                  "(in red38) at edge")
+                                  "(in red512) at edge")
     # the other suites still run
     assert report.suites["ladderstep"].cases > 0 and report.suites["ladderstep"].failures == 0
 
@@ -160,12 +160,15 @@ def test_faults_are_off_by_default():
 def test_kernels_are_re_exported_without_a_wrapper():
     assert fe25519.mul256 is mp_arith.mul256 is _kernels.mul256
     assert fe25519.sqr256 is mp_arith.sqr256 is _square.sqr256
-    assert fe25519.red512 is mp_arith.red512 is _reduce.red38
+    assert fe25519.red512 is mp_arith.red512 is _reduce.red512
     assert fe25519.add is mp_arith.add_mod is _reduce.add_mod
     assert fe25519.sub is mp_arith.sub_mod is _reduce.sub_mod
     assert fe25519.mul121666 is mp_arith.mul121666 is _linear.mul121666
     assert fe25519.subp is mp_arith.subp is _linear.subp
     assert fe25519.cmov is mp_arith.cmov is _linear.cmov
+    # one name per kernel: the function behind each fault name has that name
+    for name in faults.KNOWN:
+        assert getattr(mp_arith if hasattr(mp_arith, name) else fe25519, name).__name__ == name
 
 
 def _bindings():

@@ -80,11 +80,11 @@ def test_generated_kernel_is_proved_for_all_inputs(name):
 
 
 @pytest.mark.parametrize("name, edits, reason", [
-    ("red38", [("19*(t >> 7)", "19*(t >> 6)")], "not spec mod p"),  # folds the wrong bits
-    ("red38", [("19*(t >> 7)", "(t >> 7)")], "not spec mod p"),  # drops the factor 19
-    ("red38", [("(t & 127)", "(t & 255)")], "not spec mod p"),  # keeps bit 7 twice
+    ("red512", [("19*(t >> 7)", "19*(t >> 6)")], "not spec mod p"),  # folds the wrong bits
+    ("red512", [("19*(t >> 7)", "(t >> 7)")], "not spec mod p"),  # drops the factor 19
+    ("red512", [("(t & 127)", "(t & 255)")], "not spec mod p"),  # keeps bit 7 twice
     # no fold at all: W = V exactly, but the top limb overflows
-    ("red38", [(" + 19*(t >> 7)", ""), ("(t & 127)", "t")], "top limb can exceed a byte"),
+    ("red512", [(" + 19*(t >> 7)", ""), ("(t & 127)", "t")], "top limb can exceed a byte"),
     ("mul256", [(" - h15)", ")")], "not the product"),  # a Karatsuba middle term kept
     ("mul256", [("(c := l0) & 255", "(c := l0) & 127")], "not the product"),  # limb 0 loses a bit
     ("sqr256", [("l1 = a0*da1\n", "l1 = a0*a1\n")], "not the product"),  # a cross product not doubled

@@ -5,7 +5,7 @@ its own defining recursion, and the public RFC 7748 vectors."""
 import pytest
 
 from packed25519 import oracle
-from packed25519.oracle import INFTY, Ratio, add, affine, double, eq_x, equiv, ladder, scale
+from packed25519.oracle import INFTY, Ratio, add, affine, double, equiv, ladder, scale
 
 P = oracle.P
 
@@ -42,12 +42,6 @@ def test_degenerate_zero_ratio_compares_equal_to_everything():
     assert equiv(Ratio(0, 0), Ratio(9, 1))
 
 
-def test_eq_x():
-    assert eq_x(9, Ratio(18, 2))
-    assert not eq_x(9, Ratio(19, 2))
-    assert not eq_x(9, INFTY)
-
-
 def test_double_worked_example():
     assert double(Ratio(9, 1)) == Ratio(6400, 157681440)
     # 157681440 = 4*9*(81 + 486662*9 + 1)
@@ -60,7 +54,7 @@ def test_double_infinity_stays_infinity():
 
 def test_add_worked_example():
     assert add(Ratio(9, 1), INFTY, Ratio(9, 1)) == Ratio(324, 36)
-    assert eq_x(9, Ratio(324, 36))
+    assert equiv(Ratio(9, 1), Ratio(324, 36))
 
 
 def test_ladder_base_cases():

@@ -2,46 +2,64 @@
 
     python tools/gen_kernels.py
 
+This docstring is the one account of the generated kernels: their shapes,
+their bounds and why they are split over modules.  Each generated module
+carries only a title, a do-not-edit banner and a pointer here, and
+tests/test_gen_kernels.py holds it to render()'s output byte for byte.
+
 Every kernel of mp_arith is written here, spelled out without loops so that
 CPython runs it as a few bytecodes and nothing else.  mp_arith re-exports
-each one with no wrapper frame, so each carries a one-line docstring and its
-fixed-width unpack is the length check: a wrong length raises ValueError in
-every mode.  Four modules are written.
+each one under its own name with no wrapper frame, so each carries a
+one-line docstring and its fixed-width unpack is the length check: a wrong
+length raises ValueError in every mode.  A carry display is one `bytes`
+display of `(c := (c >> 8) + col) & 255` entries, a carry pass over the
+columns col from the bottom up.  Four modules are written.
 
-_kernels.py, whose mul256 is mp_arith.mul256 itself:
+_kernels.py, product scanning with one additive Karatsuba level in each of
+its two functions:
 
   mul16(a, b)       the 31 column sums of a 16x16-limb product: column k is
-                    the sum of a[i]*b[j] over i + j = k.  Inside, one
-                    additive Karatsuba level over 8-limb halves: the inner
-                    blocks l = x0*y0, (x0+x1)*(y0+y1) and h = x1*y1 take
-                    192 products instead of 256, and the middle column j is
-                    that block's column j minus l[j] and h[j].
+                    the sum of a[i]*b[j] over i + j = k.  Its operands are
+                    byte limbs or sums of two byte limbs, up to 510.
+                    Inside, one level over 8-limb halves: the inner blocks
+                    l = x0*y0, (x0+x1)*(y0+y1) and h = x1*y1 take 192
+                    products instead of 256, and the middle column j is that
+                    block's column j minus l[j] and h[j].  The inner half
+                    sums reach 1020, every inner block column stays below
+                    2^23 and every returned column below 2^22.
   mul256(a, b)      the 64 limbs of a 256x256-bit product: three mul16
                     calls on tuple displays of the 16-limb halves and half
-                    sums, then one carry display over their columns at 0, 16
-                    and 32 with the middle column k taken as
-                    s[k] - l[k] - h[k].
+                    sums, l = a0*b0, s = (a0+a1)*(b0+b1) and h = a1*b1, then
+                    one carry display over their columns at 0, 16 and 32
+                    with the middle column k taken as s[k] - l[k] - h[k].
+                    Each column sum is an exact polynomial coefficient, so
+                    a middle column is never negative and needs no carry or
+                    sign mask of its own.
 
-_square.py, whose sqr256 is mp_arith.sqr256 itself:
+_square.py:
 
-  sqr256(a)         the same 64 limbs for a*a in one body: the three
-                    16-limb square blocks inline (each cross product a[i]*a[j]
-                    with i < j written once, as a[i]*da[j] against the doubled
-                    limb da[j] = a[j] + a[j] computed once, 408 products) and
-                    the same carry display.
+  sqr256(a)         the same 64 limbs for a*a in one body, with mul256's
+                    outer level: the low and high 16-limb square blocks l
+                    and h as locals, the block of the half sums t inside the
+                    carry display.  Each cross product a[i]*a[j] with i < j
+                    is written once, as a[i]*da[j] against the doubled limb
+                    da[j] = a[j] + a[j] computed once (and t[i]*dt[j] in the
+                    middle block), so no column is multiplied by 2: 408
+                    products.
 
 _reduce.py and _linear.py, the reductions mod p and the linear kernels.
 One template writes every reduction: given 32 column expressions, it takes
 the top column t, folds its bits 7 and up into column 0 as 19 (2^255 = 19
 mod p) and carries the columns once, in the same carry display that ends
 mul256 and sqr256, with t & 127 added to the unmasked top limb.  For the
-column total V it returns W = V - p*(t >> 7); bytes() raises ValueError, in
-every mode, when W falls outside [0, 2^256).  Columns may be negative or
-exceed a byte.  For byte inputs the carry into the top limb is at most 39
-(red38), 2 (add_mod), 5 (sub_mod) and 1 (mul121666), so W < 2p.
+column total V it returns W = V - p*(t >> 7), the same residue; bytes()
+raises ValueError, in every mode, when W falls outside [0, 2^256).  Columns
+may be negative or exceed a byte.  For byte inputs the carry into the top
+limb is at most 39 (red512), 2 (add_mod), 5 (sub_mod) and 1 (mul121666),
+so W < 2p and one conditional subtraction canonicalizes.
 
-  red38(m)          column k is m[k] + 38*m[k+32]: 64 columns, the high half
-                    folded in as 38.  mp_arith.red512 is this function.
+  red512(m)         column k is m[k] + 38*m[k+32]: 64 columns, the high half
+                    folded in as 38 (2^256 = 38 mod p).
   add_mod(a, b)     column k is a[k] + b[k].
   sub_mod(a, b)     column k is a[k] - b[k] + 4*p[k]: 4p is larger than any
                     256-bit operand, so V is positive.
@@ -51,20 +69,26 @@ exceed a byte.  For byte inputs the carry into the top limb is at most 39
                     so in one pass the carry into the top limb would be
                     about 2^17; after the first pass it is at most 1.
   subp(a)           (a - p) mod 2^256 and the borrow: one carry display over
-                    a[k] - p[k] with every limb masked, then -(c >> 8).
+                    a[k] - p[k] with every limb masked, then -(c >> 8);
+                    `>> 8` floors, so a borrow is a carry of -1.
   cmov(a, b, c)     a[k] ^ ((a[k] ^ b[k]) & m) for the mask m = -c & 255.
 
-No generated function contains an assert or any other branch, and none holds
-a fault hook (packed25519.faults rebinds names from outside):
-tests/test_gen_kernels.py rejects every branch node.
+No linear kernel calls red512, so red512 counts only reductions of
+products.  No generated function contains an assert or any other branch,
+and none holds a fault hook (packed25519.faults rebinds names from
+outside): tests/test_gen_kernels.py rejects every branch node.
 
 tests/_proof.py proves every claim above for all byte inputs: it runs
 render()'s text on values that are at once polynomials over atoms and
 intervals, reads cmov's text limb by limb, and rejects mutants of it.
 
-The modules are split because the parser's transient peak is per module and
-grows with the source's size: tests/test_gen_kernels.py holds every module
-to a budget of syntax-tree nodes, which tracks that peak.
+The kernels are split over modules because the parser's transient peak is
+per module and grows with the source's size, and every process parses the
+source where no bytecode cache is written (PYTHONDONTWRITEBYTECODE).  So
+sqr256 lives apart from mul256, and the linear kernels apart from the
+reductions: tests/test_gen_kernels.py holds every module to a budget of
+syntax-tree nodes and of compile memory.  README's design notes give the
+measured peaks.
 
 Only the standard library is used.
 """
@@ -83,83 +107,6 @@ LIMBS = 2 * N  # limbs of a field element
 P = 2**255 - 19
 P_LIMBS = P.to_bytes(LIMBS, "little")
 FOURP = tuple(4 * x for x in P_LIMBS)  # 4p as 32 columns, for sub_mod
-
-KERNELS_HEADER = '''\
-"""Straight-line product kernels; mul256 is mp_arith.mul256 itself.
-
-Generated by tools/gen_kernels.py; do not edit.  Regenerate with
-`python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
-the generator's output byte for byte.
-
-mul16 returns the 31 column sums of a 16x16-limb product (column k holds
-every a[i]*b[j] with i + j = k).  Its operands are byte limbs or sums of two
-byte limbs, up to 510.  It does one additive Karatsuba level over 8-limb
-halves: the inner half sums reach 1020, every inner block column stays below
-2^23 and every returned column below 2^22.
-
-mul256 unpacks its two 32-limb operands once, makes three mul16 blocks, l of
-the low halves, s of the half sums and h of the high halves, and carries
-them into the 64 limbs of a 512-bit product in one display: l at column 0, h
-at column 32, and at column 16 the Karatsuba middle s - l - h.  Each column
-sum is an exact polynomial coefficient, so a middle column is never
-negative and needs no carry of its own.
-"""
-'''
-
-SQUARE_HEADER = '''\
-"""Straight-line squaring kernel; sqr256 is mp_arith.sqr256 itself.
-
-Generated by tools/gen_kernels.py; do not edit.  Regenerate with
-`python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
-the generator's output byte for byte.
-
-sqr256 is mul256's one-level Karatsuba with the three 16-limb square blocks
-written inline: l of the low half and h of the high half as locals, the
-middle block of the half sums t inside the carry display.  Each cross
-product a[i]*a[j] (i < j) is written once, as a[i]*da[j] against the doubled
-limb da[j] = a[j] + a[j] (and t[i]*dt[j] in the middle block), so no column
-is multiplied by 2.  It lives apart from mul256 because the parser's
-transient peak is per module.
-"""
-'''
-
-REDUCE_HEADER = '''\
-"""Straight-line reductions mod p = 2^255 - 19: red38, add_mod and sub_mod.
-
-Generated by tools/gen_kernels.py; do not edit.  Regenerate with
-`python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
-the generator's output byte for byte.
-
-Each function takes its top column t, folds bits 7 and up of t into
-column 0 as 19 (2^255 = 19 mod p) and carries the 32 integer columns once,
-written as one bytes display whose top limb is (c >> 8) + (t & 127).
-Columns may be negative or exceed a byte: for the column total V the result
-is W = V - p*(t >> 7) as 32 limbs.  The top limb is left unmasked, so
-bytes() raises ValueError, with or without -O, when W falls outside
-[0, 2^256).  red38's column k is m[k] + 38*m[k+32] (2^256 = 38 mod p),
-add_mod's a[k] + b[k] and sub_mod's a[k] - b[k] + 4p[k].  For byte inputs
-the carry into the top limb is at most 39, 2 and 5, so W < 2p.
-mp_arith.red512 is red38 itself; add_mod and sub_mod are mp_arith's own.
-"""
-'''
-
-LINEAR_HEADER = '''\
-"""Straight-line linear kernels: mul121666, subp and cmov.
-
-Generated by tools/gen_kernels.py; do not edit.  Regenerate with
-`python tools/gen_kernels.py`; tests/test_gen_kernels.py holds this file to
-the generator's output byte for byte.
-
-mul121666 carries the columns 121666*a[k] once and then applies the
-reduction of _reduce.py to the carried limbs: its columns reach 2^25, too
-large for one pass to leave the top limb a byte.  subp
-carries a[k] - p[k] in one display with every limb masked and returns the
-borrow -(c >> 8) beside it: `>> 8` floors, so a borrow is a carry of -1.
-cmov moves b into a under the mask -c & 255, limb by limb.  mp_arith
-re-exports all three, and fe25519.cmov is cmov itself.  They live apart
-from _reduce.py because the parser's transient peak is per module.
-"""
-'''
 
 Col = Callable[[int], str]
 
@@ -270,7 +217,7 @@ def _red(head: List[str], col: Col) -> List[str]:
 
 def _mul121666() -> List[str]:
     """One plain carry pass over the columns 121666*a[k], then _red on the
-    carried limbs: a single pass would leave a carry near 2^17 in the top limb."""
+    carried limbs."""
     lines = _head("mul121666(a)", "Multiply by the ladder constant 121666 = (A + 2) / 4; result < 2p.", "a")
     for k in range(LIMBS - 1):
         lines += [f"    c = {'' if k == 0 else '(c >> 8) + '}121666*a{k}", f"    r{k} = c & 255"]
@@ -289,24 +236,30 @@ def _cmov() -> List[str]:
             + [f"        a{k} ^ ((a{k} ^ b{k}) & m)," for k in range(LIMBS)] + ["    ))"])
 
 
-def _module(header: str, blocks: List[List[str]]) -> str:
+def _module(title: str, blocks: List[List[str]]) -> str:
+    """A module's text: its title, the do-not-edit banner and a pointer to
+    this docstring, then the functions."""
+    header = (f'"""{title}\n\n'
+              "Generated by tools/gen_kernels.py, whose docstring describes these\n"
+              "kernels; do not edit.  Regenerate with `python tools/gen_kernels.py`.\n"
+              '"""\n')
     return header + "".join("\n\n" + "\n".join(b) + "\n" for b in blocks)
 
 
 def render() -> Dict[Path, str]:
     """The full text of each generated module, by path."""
     return {
-        KERNELS: _module(KERNELS_HEADER, [_mul16(), _mul256()]),
-        SQUARE: _module(SQUARE_HEADER, [_sqr256()]),
-        REDUCE: _module(REDUCE_HEADER, [
-            _red(_head("red38(m)", "Reduce 64 columns mod p into 32 limbs; below 2p for a 512-bit product.",
+        KERNELS: _module("Straight-line product kernels: mul16 and mul256.", [_mul16(), _mul256()]),
+        SQUARE: _module("Straight-line squaring kernel: sqr256.", [_sqr256()]),
+        REDUCE: _module("Straight-line reductions mod p = 2^255 - 19: red512, add_mod and sub_mod.", [
+            _red(_head("red512(m)", "Reduce 64 columns mod p into 32 limbs; below 2p for a 512-bit product.",
                        "m", 2 * LIMBS), lambda k: f"m{k} + 38*m{k + LIMBS}"),
             _red(_head("add_mod(a, b)", "a + b with bits 255+ of the sum folded back as 19; result < 2p.",
                        "ab"), lambda k: f"a{k} + b{k}"),
             _red(_head("sub_mod(a, b)", "a - b computed as a + 4p - b, folded like add_mod; result < 2p.",
                        "ab"), lambda k: f"a{k} - b{k} + {FOURP[k]}"),
         ]),
-        LINEAR: _module(LINEAR_HEADER, [
+        LINEAR: _module("Straight-line linear kernels: mul121666, subp and cmov.", [
             _mul121666(),
             _subp(),
             _cmov(),
