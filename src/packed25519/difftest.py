@@ -1,6 +1,6 @@
 """Differential testing of the packed-limb kernels against the integer oracle.
 
-Six suites, each a list of checks driven by a deterministic byte stream:
+Six suites, each a pair of check functions driven by `run_suite`:
 
   mp          mul256/sqr256/subp/red512/add_mod/sub_mod vs. big integers
   fe          field-layer congruences, ranges, freeze/cmov/pack/unpack/invert
@@ -9,11 +9,12 @@ Six suites, each a list of checks driven by a deterministic byte stream:
   scalarmult  the byte-level pipeline vs. oracle.x25519 on integers
   findings    red512 lands below 2p and one conditional subtraction freezes
 
-The mp, fe and findings suites live in `_field_suites`, with what every
-suite shares (the stream, the edge corpus, the RFC 7748 vectors, the
-configuration and a suite's tally); the ladderstep, mladder and scalarmult
-suites live in `_ladder_suites`.  This module runs them and reports, and
-re-exports the shared names.  The harness is three modules because the
+This module is the engine: the configuration, a suite's tally, the trial
+stream, the one loop over trials and the report.  A suite is `edges(t)`, its
+fixed checks, and `trial(t, st, k)`, the checks of trial k on that trial's
+stream `st`; both report only through `t.check`.  The mp, fe and findings
+suites live in `_field_suites`, the ladderstep, mladder and scalarmult
+suites in `_ladder_suites`.  The checks are two modules because the
 parser's transient peak is per module, and every process pays it where no
 bytecode cache is written.
 
@@ -29,14 +30,72 @@ captured as a hex counterexample string.  An exception raised inside a suite
 counts as one failing check and ends that suite.
 """
 
+import hashlib
 import json
 import time
-from typing import Callable, Dict, NamedTuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-from ._field_suites import (RFC7748_VECTORS, SUITE_NAMES, EdgeCorpus, SuiteResult,
-                            TrialConfig, _Stream, _suite_fe, _suite_findings, _suite_mp,
-                            edge_corpus)
-from ._ladder_suites import _suite_ladderstep, _suite_mladder, _suite_scalarmult
+from . import _field_suites, _ladder_suites
+from ._field_suites import EdgeCorpus, edge_corpus  # re-exported for callers
+from ._ladder_suites import RFC7748_VECTORS  # re-exported for callers
+
+SUITES = {
+    "mp": (_field_suites.mp_edges, _field_suites.mp_trial),
+    "fe": (_field_suites.fe_edges, _field_suites.fe_trial),
+    "ladderstep": (_ladder_suites.ladderstep_edges, _ladder_suites.ladderstep_trial),
+    "mladder": (_ladder_suites.mladder_edges, _ladder_suites.mladder_trial),
+    "scalarmult": (_ladder_suites.scalarmult_edges, _ladder_suites.scalarmult_trial),
+    "findings": (_field_suites.findings_edges, _field_suites.findings_trial),
+}
+SUITE_NAMES: Tuple[str, ...] = tuple(SUITES)
+
+
+class TrialConfig(NamedTuple):
+    seed: int = 1
+    trials: int = 20
+    suites: Tuple[str, ...] = SUITE_NAMES
+
+
+class SuiteResult:
+    """A suite's tally: checks run, failures, the first failure's text, the
+    suite's wall time and the tag (`edge` or `trial=K`) of the check in
+    progress."""
+
+    def __init__(self) -> None:
+        self.cases = 0
+        self.failures = 0
+        self.counterexample: Optional[str] = None
+        self.elapsed_s = 0.0
+        self.at = "edge"
+
+    @property
+    def checks_per_s(self) -> float:
+        return self.cases / self.elapsed_s if self.elapsed_s else 0.0
+
+    def check(self, ok: bool, describe: Callable[[], str]) -> None:
+        self.cases += 1
+        if not ok:
+            self.failures += 1
+            if self.counterexample is None:
+                self.counterexample = describe()
+
+
+class _Stream:
+    """Counter-mode SHA-256: block i = H(seed | suite | trial | i)."""
+
+    def __init__(self, seed: int, suite: str, trial: int):
+        self._prefix = (seed.to_bytes(8, "little") + suite.encode("ascii")
+                        + b"|" + trial.to_bytes(8, "little"))
+        self._ctr = 0
+
+    def u256(self) -> bytes:
+        block = hashlib.sha256(
+            self._prefix + self._ctr.to_bytes(8, "little")).digest()
+        self._ctr += 1
+        return block
+
+    def u512(self) -> bytes:
+        return self.u256() + self.u256()
 
 
 class TrialReport(NamedTuple):
@@ -76,26 +135,16 @@ class TrialReport(NamedTuple):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-
-_SUITES: Dict[str, Callable[[TrialConfig, SuiteResult], None]] = {
-    "mp": _suite_mp,
-    "fe": _suite_fe,
-    "ladderstep": _suite_ladderstep,
-    "mladder": _suite_mladder,
-    "scalarmult": _suite_scalarmult,
-    "findings": _suite_findings,
-}
-
-
 def run_suite(cfg: TrialConfig) -> TrialReport:
     """Run the configured suites and return the full report.
 
-    Configuration problems (a bad trial count or seed, an unknown or empty
-    suite list) raise ValueError before anything runs.  An exception raised
-    by the code under test is one failed check of its suite, whose
-    counterexample names the suite, the exception, the function that raised
-    it and the check in progress (`edge` or `trial=K`); that suite stops
-    there, and the others still run.
+    Each suite runs its edges at `edge`, then trial k at `trial=K` on
+    `_Stream(cfg.seed, name, k)`, for k below `cfg.trials`.  Configuration
+    problems (a bad trial count or seed, an unknown or empty suite list)
+    raise ValueError before anything runs.  An exception raised by the code
+    under test is one failed check of its suite, whose counterexample names
+    the suite, the exception, the function that raised it and the check in
+    progress; that suite stops there, and the others still run.
     """
     if not isinstance(cfg.trials, int) or cfg.trials < 1:
         raise ValueError(f"trials must be a positive integer, got {cfg.trials!r}")
@@ -103,19 +152,22 @@ def run_suite(cfg: TrialConfig) -> TrialReport:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {cfg.seed!r}")
     if not cfg.suites:
         raise ValueError("no suites selected")
-    unknown = [s for s in cfg.suites if s not in _SUITES]
+    unknown = [s for s in cfg.suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite name(s): {unknown}; known: {list(SUITE_NAMES)}")
 
     started = time.perf_counter()
     results: Dict[str, SuiteResult] = {}
-    for name in SUITE_NAMES:
+    for name, (edges, trial) in SUITES.items():
         if name not in cfg.suites:
             continue
-        res = results[name] = SuiteResult(name)
+        res = results[name] = SuiteResult()
         t0 = time.perf_counter()
         try:
-            _SUITES[name](cfg, res)
+            edges(res)
+            for k in range(cfg.trials):
+                res.at = f"trial={k}"
+                trial(res, _Stream(cfg.seed, name, k), k)
         except Exception as exc:
             import traceback  # here, so that only a run that raises loads it
             fn = traceback.extract_tb(exc.__traceback__)[-1].name

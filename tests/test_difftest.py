@@ -147,6 +147,22 @@ def test_an_exception_in_a_suite_is_a_failed_check(monkeypatch):
     assert report.suites["ladderstep"].cases > 0 and report.suites["ladderstep"].failures == 0
 
 
+def test_an_exception_in_a_trial_names_the_trial(monkeypatch):
+    # the genuine red512 for every edge check of the findings suite, then a raise
+    calls = []
+
+    def red512(m):
+        calls.append(m)
+        if len(calls) > len(edge_corpus().u512):
+            raise ValueError("stand-in")
+        return _reduce.red512(m)
+
+    monkeypatch.setattr(mp_arith, "red512", red512)
+    res = run_suite(TrialConfig(trials=3, suites=("findings",))).suites["findings"]
+    assert (res.cases, res.failures) == (57, 1)
+    assert res.counterexample.endswith("(in red512) at trial=0")
+
+
 def test_faults_reject_unknown_names():
     with pytest.raises(ValueError):
         with faults.inject("nonsense"):
