@@ -35,12 +35,6 @@ def _cmd_scalarmult(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_base(args: argparse.Namespace) -> int:
-    s = _parse_hex32(args.scalar, "scalar")
-    print(scalarmult(s, BASE_POINT_U).hex())
-    return 0
-
-
 def _cmd_iterate(args: argparse.Namespace) -> int:
     print(iterate(args.count).hex())
     return 0
@@ -79,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("base", help="X25519(scalar, 9): public key for a secret")
     p.add_argument("scalar")
-    p.set_defaults(fn=_cmd_base)
+    p.set_defaults(fn=_cmd_scalarmult, u=BASE_POINT_U.hex())
 
     p = sub.add_parser("iterate",
                        help="RFC 7748 iteration chain from the base point")

@@ -3,7 +3,7 @@ stand-ins, which also answer its relative imports, so no packed25519 module
 attribute is rebound.  A generated kernel runs on `Sym` values with `bytes`
 bound to `tuple`; fe25519.py and ladder.py run with each kernel replaced by
 its proved contract (mul256 is a*b, red512 keeps its value mod p, ...),
-and mladder runs on `Bits`, a scalar's bits as symbols."""
+and mladder runs on a scalar whose bits are `Sym` atoms."""
 
 import ast
 import builtins
@@ -68,7 +68,10 @@ class Sym:
     input: the one it computes from its operands' intervals, which keeps a
     carry chain's bounds, and the one its polynomial implies term by term,
     which sees that a Karatsuba middle s - l - h is a sum of products.  A
-    monomial is a sorted tuple of atoms, and an atom is (id, lo, hi)."""
+    monomial is a sorted tuple of atoms, and an atom is (id, lo, hi).  An
+    atom whose interval is [0, 1] is a bit, and a monomial holds it at most
+    once, since b*b = b; every atom stands for an integer, so that holds
+    for quotient atoms too."""
 
     log = []  # every value built since the last reset
     _ids = itertools.count()
@@ -111,12 +114,21 @@ class Sym:
         other = Sym.lift(other)
         poly = {}
         for (m1, k1), (m2, k2) in itertools.product(self.poly.items(), other.poly.items()):
-            m = tuple(sorted(m1 + m2))
+            m = tuple(sorted(m1 + tuple(a for a in m2 if a[1:] != (0, 1) or a not in m1)))
             poly[m] = poly.get(m, 0) + k1 * k2
         ends = [x * y for x in (self.lo, self.hi) for y in (other.lo, other.hi)]
         return Sym(poly, min(ends), max(ends))
 
     __radd__, __rmul__ = __add__, __mul__
+
+    def __rsub__(self, other):
+        return Sym.lift(other) - self
+
+    def __xor__(self, other):
+        assert all(_same(x * x, x) for x in (self, other)), "^ of a value that is not a bit"
+        return self + other - 2 * self * other
+
+    __rxor__ = __xor__
 
     def __pow__(self, n):
         return functools.reduce(Sym.__mul__, [self] * n)
@@ -133,7 +145,12 @@ class Sym:
         return Sym((self - (self >> s) * 2**s).poly, 0, mask)
 
     def __bool__(self):
-        raise TypeError("control flow depends on limb data")
+        raise TypeError("control flow depends on symbolic data")
+
+
+def _same(x, y):
+    """x and y are one polynomial, so equal for every value of the atoms."""
+    return not (Sym.lift(x) - y).poly
 
 
 def _value(limbs):
@@ -145,11 +162,11 @@ def _mul16(cols, seen, spec, a, b):
     assert len(cols) == 31
     for k, col in enumerate(cols):
         schoolbook = sum(a[i] * b[k - i] for i in range(max(0, k - 15), min(k, 15) + 1))
-        assert not (col - schoolbook).poly, f"column {k} is not the schoolbook column"
+        assert _same(col, schoolbook), f"column {k} is not the schoolbook column"
 
 
 def _product(out, seen, spec, *operands):
-    assert not (_value(out) - spec(*map(_value, operands))).poly, "value(out) is not the product"
+    assert _same(_value(out), spec(*map(_value, operands))), "value(out) is not the product"
     assert all(0 <= x.lo and x.hi <= 255 for x in out), "a limb can leave [0, 255]"
 
 
@@ -172,7 +189,7 @@ def _reduction(top_carry):
 
 def _subp(out, seen, spec, a):
     d, borrow = out
-    assert not (_value(d) - (_value(a) - P + borrow * 2**256)).poly, "value(d) is not a - p + 2^256 borrow"
+    assert _same(_value(d), _value(a) - P + borrow * 2**256), "value(d) is not a - p + 2^256 borrow"
     assert all(0 <= x.lo and x.hi <= 255 for x in d), "a limb can leave [0, 255]"
     assert 0 <= borrow.lo and borrow.hi <= 1, "the borrow can leave [0, 1]"
 
@@ -219,60 +236,13 @@ def _cmov(text):
                for a in range(256) for b in range(256) for c in (0, 1))
 
 
-class Bits(dict):
-    """A polynomial in scalar bits, each 0 or 1.  A monomial is a frozenset
-    of bit indices, so b*b = b.  A multilinear polynomial is unique for the
-    function it computes on the bits, so two values are equal for every
-    value of the bits exactly when they are equal here, and x is 0 or 1 for
-    every value of the bits exactly when x*x == x."""
-
-    @staticmethod
-    def lift(x):
-        return x if isinstance(x, Bits) else Bits({frozenset(): x})
-
-    def __init__(self, terms):
-        super().__init__((m, k) for m, k in terms.items() if k)
-
-    def __add__(self, other, sign=1):
-        terms = dict(self)
-        for m, k in Bits.lift(other).items():
-            terms[m] = terms.get(m, 0) + sign * k
-        return Bits(terms)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __rsub__(self, other):
-        return Bits.lift(other) - self
-
-    def __mul__(self, other):
-        terms = {}
-        for (m1, k1), (m2, k2) in itertools.product(self.items(), Bits.lift(other).items()):
-            terms[m1 | m2] = terms.get(m1 | m2, 0) + k1 * k2
-        return Bits(terms)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __xor__(self, other):
-        assert all(x * x == x for x in (self, other)), "^ of a value that is not a bit"
-        return self + other - 2 * self * other
-
-    __rxor__ = __xor__
-
-    def __eq__(self, other):
-        return dict.__eq__(self, Bits.lift(other))
-
-    def __bool__(self):
-        raise TypeError("control flow depends on scalar bits")
-
-
 class _Scalar(tuple):
-    """A scalar as its bits, lowest first, some of them `Bits`: n >> s drops
+    """A scalar as its bits, lowest first, some of them `Sym`: n >> s drops
     s bits and is an int once no bit is symbolic, and (n >> s) & 1 is bit s."""
 
     def __rshift__(self, s):
         rest = self[s:]
-        if any(isinstance(b, Bits) for b in rest):
+        if any(isinstance(b, Sym) for b in rest):
             return _Scalar(rest)
         return sum(b << k for k, b in enumerate(rest))
 
@@ -284,7 +254,7 @@ class _Scalar(tuple):
 def _select(a, b, c):
     """cmov's proved contract, b when c = 1 and a when c = 0, written
     a + c*(b - a) so that c may be a polynomial in scalar bits."""
-    assert c * c == c, "cmov's mask can be neither 0 nor 1"
+    assert _same(c * c, c), "cmov's mask can be neither 0 nor 1"
     return a + c * (b - a)
 
 
@@ -310,7 +280,7 @@ def _cswap(text):
     r0, r1 = [(Sym.atom(0, P - 1), Sym.atom(0, P - 1)) for _ in range(2)]
     for swap, want in ((0, r0 + r1), (1, r1 + r0)):
         got = sum(cswap(r0, r1, swap), ())
-        assert all(not (g - w).poly for g, w in zip(got, want, strict=True)), \
+        assert all(_same(g, w) for g, w in zip(got, want, strict=True)), \
             f"cswap does not exchange both ratios exactly when swap is 1 (swap = {swap})"
 
 
@@ -318,7 +288,7 @@ def _mladder(text):
     """For every n with bit 254 set, mladder makes 255 steps and 255 swaps
     and returns the multiple n when n is even and n + 1 when n is odd.
 
-    One run covers every such n: bits 0..253 are `Bits` atoms, so every
+    One run covers every such n: bits 0..253 are `Sym` bit atoms, so every
     value of them runs at once, and control flow that reads them raises.
     A register holding k times the point P is labelled (k + 1, k):
     setone() is 1, setzero() is 0 and xp is 2, so the ladder starts from
@@ -329,21 +299,21 @@ def _mladder(text):
     step then leaves (m', m' + 1), m' = n >> i, exchanged exactly when
     bit i is 1.  Each step checks it, for all four (bit i, bit i + 1)
     transitions at once."""
-    bits = [*(Bits({frozenset([j]): 1}) for j in range(254)), 1]
+    bits = [*(Sym.atom(0, 1) for _ in range(254)), 1]
     n = sum(b * 2**j for j, b in enumerate(bits))
     counts, stack, m = collections.Counter(), [], 0
 
     def multiple(ratio):
         x, z = ratio
-        assert x == z + 1, "a register's X and Z hold different multiples"
+        assert _same(x, z + 1), "a register's X and Z hold different multiples"
         return z
 
     def step(xp, r0, r1):
         nonlocal m
         i = 255 - counts["ladderstep"]
         b, (k0, k1) = bits[i], map(multiple, (r0, r1))
-        assert xp == 2, "a step's difference is not xp"
-        assert (k0, k1) == (m + b, m + 1 - b), \
+        assert _same(xp, 2), "a step's difference is not xp"
+        assert _same(k0, m + b) and _same(k1, m + 1 - b), \
             f"before the step for bit {i}, the registers are not exchanged exactly when bit {i} is 1"
         m = 2 * m + b
         return (2 * k0 + 1, 2 * k0), (k0 + k1 + 1, k0 + k1)
@@ -354,7 +324,7 @@ def _mladder(text):
     got = multiple(ladder["mladder"](_Scalar(bits), 2))
     assert counts == {"ladderstep": 255, "cswap": 255}, \
         f"mladder makes {counts['ladderstep']} steps and {counts['cswap']} swaps"
-    assert got == n + bits[0], "mladder does not return n for even n and n + 1 for odd n"
+    assert _same(got, n + bits[0]), "mladder does not return n for even n and n + 1 for odd n"
 
 
 def _ladderstep(text):
@@ -365,7 +335,7 @@ def _ladderstep(text):
     r0, r1 = oracle.Ratio(x1, z1), oracle.Ratio(x2, z2)
     got = sum(ladderstep(xp, r0, r1), ())
     want = (*oracle.double(r0), *oracle.add(r1, r0, oracle.Ratio(xp, 1)))
-    assert all(not (g - w).poly for g, w in zip(got, want, strict=True)), "ladderstep is not the oracle's formulas"
+    assert all(_same(g, w) for g, w in zip(got, want, strict=True)), "ladderstep is not the oracle's formulas"
 
 
 def _invert(text):
@@ -403,6 +373,10 @@ PROOFS = {**{name: (row[0], functools.partial(_kernel, name)) for name, row in K
 
 
 def prove(name, text=None):
-    """Assert the claim `name` of its module's text, or of `text`."""
+    """Assert the claim `name` of its module's text, or of `text`; keep none
+    of the values it built."""
     module, check = PROOFS[name]
-    check(sources()[module] if text is None else text)
+    try:
+        check(sources()[module] if text is None else text)
+    finally:
+        Sym.log = []

@@ -5,7 +5,8 @@ its compile budget, and every generated kernel is proved for all inputs
 included, can fail."""
 
 import ast
-import tracemalloc
+import subprocess
+import sys
 
 import pytest
 
@@ -37,13 +38,13 @@ BRANCHES = (ast.Assert, ast.If, ast.IfExp, ast.While, ast.For, ast.BoolOp, ast.T
 
 
 def _compile_peak(text, name):
-    """tracemalloc's peak, in bytes, while compiling text."""
-    tracemalloc.start()
-    try:
-        compile(text, name, "exec")
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """tracemalloc's peak, in bytes, while a fresh interpreter compiles text:
+    the same text reads a different peak after other allocations."""
+    script = ("import sys, tracemalloc\ntext = sys.stdin.read()\ntracemalloc.start()\n"
+              "compile(text, sys.argv[1], 'exec')\nprint(tracemalloc.get_traced_memory()[1])")
+    proc = subprocess.run([sys.executable, "-c", script, name], input=text, capture_output=True, text=True,
+                          check=True)
+    return int(proc.stdout)
 
 
 def test_every_generated_module_is_straight_line_and_within_the_parse_budget():
