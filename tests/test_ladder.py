@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +53,16 @@ def test_mladder_requires_bit_254():
         mladder(2**255, le(9))
 
 
+def test_mladder_requires_bit_254_under_O():
+    code = ("from packed25519.ladder import mladder\n"
+            "try:\n    mladder(5, bytes(32))\n"
+            "except ValueError:\n    print('rejected')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected\n"
+
+
 def test_scalarmult_takes_only_bytes():
     s = bytes(range(32))
     want = scalarmult(s, BASE_POINT_U)
@@ -58,6 +70,16 @@ def test_scalarmult_takes_only_bytes():
     for bad in ((list(s), BASE_POINT_U), (s, list(BASE_POINT_U)), (s.hex(), BASE_POINT_U)):
         with pytest.raises(TypeError):
             scalarmult(*bad)
+
+
+def test_scalarmult_takes_only_bytes_under_O():
+    code = ("from packed25519.ladder import BASE_POINT_U, scalarmult\n"
+            "try:\n    scalarmult(list(range(32)), BASE_POINT_U)\n"
+            "except TypeError:\n    print('rejected')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected\n"
 
 
 def test_mladder_odd_scalar_lands_on_the_wrong_slot():

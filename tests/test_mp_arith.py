@@ -4,6 +4,8 @@ Expected values come from Python's own integers, which are the independent
 oracle for everything in this file; the packed kernels never see them."""
 
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,6 +58,19 @@ def test_red512_column_contract():
                 fn(*args)
     # sub_mod's offset columns denote 4p
     assert sum(c << 8 * k for k, c in enumerate(FOURP)) == 4 * P
+
+
+def test_red_overflow_is_rejected_under_O():
+    # the overflow check is bytes()'s own range check, so -O keeps it
+    code = ("from packed25519.mp_arith import add_mod, red512\n"
+            "big = (0,) * 31 + (2**300,)\n"
+            "for fn, args in ((add_mod, (big, (0,) * 32)), (red512, (big + (0,) * 32,))):\n"
+            "    try:\n        fn(*args)\n"
+            "    except ValueError as e:\n        print(e)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "bytes must be in range(0, 256)\n" * 2
 
 
 def test_wrong_length_is_rejected():
