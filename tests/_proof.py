@@ -3,7 +3,8 @@ stand-ins, which also answer its relative imports, so no packed25519 module
 attribute is rebound.  A generated kernel runs on `Sym` values with `bytes`
 bound to `tuple`; fe25519.py and ladder.py run with each kernel replaced by
 its proved contract (mul256 is a*b, red512 keeps its value mod p, ...),
-and mladder runs on a scalar whose bits are `Sym` atoms."""
+mladder runs on a scalar whose bits are `Sym` atoms, and scalarmult on
+bytes that raise when a branch or lookup reads them."""
 
 import ast
 import builtins
@@ -71,9 +72,15 @@ class Sym:
     monomial is a sorted tuple of atoms, and an atom is (id, lo, hi).  An
     atom whose interval is [0, 1] is a bit, and a monomial holds it at most
     once, since b*b = b; every atom stands for an integer, so that holds
-    for quotient atoms too."""
+    for quotient atoms too.
 
-    log = []  # every value built since the last reset
+    Code run on a `Sym` cannot read its value: four guards raise TypeError,
+    `__bool__` for a branch, `__eq__` for a comparison, `__hash__` for a
+    table keyed by it and `__index__` for a table indexed by it, so a proof
+    that runs to its end shows that no control flow or lookup depends on
+    its atoms."""
+
+    log = None  # while _run_kernel runs, the list of every value built
     _ids = itertools.count()
 
     def __init__(self, poly, lo, hi):
@@ -86,7 +93,8 @@ class Sym:
                 mlo, mhi = min(ends), max(ends)
             plo, phi = plo + mlo, phi + mhi
         self.lo, self.hi, self.shifts = max(lo, plo), min(hi, phi), {}
-        Sym.log.append(self)
+        if Sym.log is not None:
+            Sym.log.append(self)
 
     @classmethod
     def atom(cls, lo, hi):
@@ -144,8 +152,20 @@ class Sym:
         assert mask == 2**s - 1
         return Sym((self - (self >> s) * 2**s).poly, 0, mask)
 
+    def __mod__(self, m):
+        return self & (m - 1)  # m a power of two, as __and__ asserts
+
     def __bool__(self):
         raise TypeError("control flow depends on symbolic data")
+
+    def __eq__(self, other):
+        raise TypeError("a comparison reads symbolic data")
+
+    def __hash__(self):
+        raise TypeError("a table is keyed by symbolic data")
+
+    def __index__(self):
+        raise TypeError("a table is indexed by symbolic data")
 
 
 def _same(x, y):
@@ -157,7 +177,7 @@ def _value(limbs):
     return sum(x * 2**(8 * k) for k, x in enumerate(limbs))
 
 
-def _mul16(cols, seen, spec, a, b):
+def _mul16(cols, spec, a, b):
     # operands are byte limbs or sums of two, at most 510
     assert len(cols) == 31
     for k, col in enumerate(cols):
@@ -165,7 +185,7 @@ def _mul16(cols, seen, spec, a, b):
         assert _same(col, schoolbook), f"column {k} is not the schoolbook column"
 
 
-def _product(out, seen, spec, *operands):
+def _product(out, spec, *operands):
     assert _same(_value(out), spec(*map(_value, operands))), "value(out) is not the product"
     assert all(0 <= x.lo and x.hi <= 255 for x in out), "a limb can leave [0, 255]"
 
@@ -173,7 +193,7 @@ def _product(out, seen, spec, *operands):
 def _reduction(top_carry):
     """W = spec (mod p) and 0 <= W < 2p, with the given carry into the top
     limb, for every byte input."""
-    def claim(out, seen, spec, *operands):
+    def claim(out, spec, *operands):
         w = _value(out)
         # algebraic: W - spec is p times an integer combination of the atoms
         assert all(k % P == 0 for k in (w - spec(*map(_value, operands))).poly.values()), "not spec mod p"
@@ -187,7 +207,7 @@ def _reduction(top_carry):
     return claim
 
 
-def _subp(out, seen, spec, a):
+def _subp(out, spec, a):
     d, borrow = out
     assert _same(_value(d), _value(a) - P + borrow * 2**256), "value(d) is not a - p + 2^256 borrow"
     assert all(0 <= x.lo and x.hi <= 255 for x in d), "a limb can leave [0, 255]"
@@ -217,10 +237,12 @@ def _run_kernel(name, text):
     its result, every value it built and its operands."""
     module, widths, bound, _, _ = KERNELS[name]
     kernel = _run(text, module, bytes=tuple)[name]
-    Sym.log = []
-    operands = [[Sym.atom(0, bound) for _ in range(n)] for n in widths]
-    out = kernel(*operands)
-    seen, Sym.log = Sym.log, []
+    Sym.log = seen = []
+    try:
+        operands = [[Sym.atom(0, bound) for _ in range(n)] for n in widths]
+        out = kernel(*operands)
+    finally:
+        Sym.log = None
     return out, seen, operands
 
 
@@ -339,44 +361,96 @@ def _ladderstep(text):
 
 
 def _invert(text):
-    """invert's chain is a^(p-2) in 254 S and 11 M: run it on exponents,
-    where squaring doubles and multiplying adds."""
-    counts, stack = collections.Counter(), []
+    """invert's chain is a^(p-2) in 254 S and 11 M: run it on exponents
+    e*t of one atom t, where squaring doubles e and multiplying adds, so
+    that nothing in the chain can read its argument."""
+    counts, stack, t = collections.Counter(), [], Sym.atom(0, P - 1)
     fe = _fe(text, sqr256=_counting(counts, "S", lambda e: 2 * e, stack),
              mul256=_counting(counts, "M", lambda e, f: e + f, stack))
-    assert fe["invert"](1) == P - 2, "invert's exponent is not p - 2"
+    assert _same(fe["invert"](t), (P - 2) * t), "invert's exponent is not p - 2"
     assert counts == {"S": 254, "M": 11}, f"invert makes {dict(counts)}"
+
+
+def _only(arg, result):
+    """A stand-in whose contract covers `arg` alone, matched by identity,
+    where it returns `result`."""
+    def stand_in(x):
+        assert x is arg, "a stand-in is called on a value its contract does not cover"
+        return result
+    return stand_in
 
 
 def _freeze(text):
     """freeze(a) is congruent to a and below p for every a < 2p.  subp's
     proved contract, d = a - p + 2^256 borrow with d in [0, 2^256), makes the
-    borrow 1 exactly when a < p: split on it."""
-    for borrow, a in ((1, Sym.atom(0, P - 1)), (0, Sym.atom(P, 2 * P - 1))):
+    borrow 1 exactly when a < p: split on it for the range.  One more run
+    takes the borrow as a bit atom b, where cmov's contract gives
+    a - p*(1 - b), congruent to a, so that nothing can branch on it."""
+    b = Sym.atom(0, 1)
+    for borrow, a in ((1, Sym.atom(0, P - 1)), (0, Sym.atom(P, 2 * P - 1)), (b, Sym.atom(0, 2 * P - 1))):
         d = a - P + 2**256 * borrow
-        assert 0 <= d.lo and d.hi < 2**256, "this case is not subp's"
-        out = _fe(text, subp={a: (d, borrow)}.get)["freeze"](a)  # subp of anything else is None
+        out = _fe(text, subp=_only(a, (d, borrow)))["freeze"](a)
         assert all(k % P == 0 for k in (out - a).poly.values()), "freeze's result is not a mod p"
-        assert 0 <= out.lo and out.hi < P, "freeze's result can reach p"
+        if borrow is not b:
+            assert 0 <= d.lo and d.hi < 2**256, "this case is not subp's"
+            assert 0 <= out.lo and out.hi < P, "freeze's result can reach p"
+
+
+class _Secret(bytes):
+    """32 bytes that raise when a branch, comparison, table or loop reads
+    them: only their type and length are public."""
+
+    def _read(self, *args):
+        raise TypeError("control flow reads secret bytes")
+
+    __bool__ = __eq__ = __hash__ = __getitem__ = __iter__ = _read
+
+
+def _scalarmult(text):
+    """For all 32-byte s and u, scalarmult(s, u) is pack(freeze(x/z)) for
+    (x : z) = mladder(clamp(s), unpack(u)), and nothing reads the bytes of
+    s or u or branches on a value computed from them.  unpack, mladder,
+    invert, freeze and pack stand in on atoms, each accepting only the value
+    it should get; clamp's own text runs on int.from_bytes(s) as an atom,
+    and gives mladder a multiple of 8 in [2^254, 2^255), where the mladder
+    proof returns n."""
+    s, u, out = _Secret(32), _Secret(32), object()
+    xp, x, z, iz, w = (Sym.atom(0, P - 1) for _ in range(5))
+
+    def from_bytes(raw, order):
+        assert raw is s and order == "little", "clamp does not read s little-endian"
+        return Sym.atom(0, 2**256 - 1)
+
+    def mladder(n, point):
+        assert all(k % 8 == 0 for k in n.poly.values()) and 2**254 - 8 < n.lo and n.hi < 2**255, \
+            "clamp's result is not a multiple of 8 in [2^254, 2^255)"
+        assert point is xp, "mladder's point is not unpack(u)"
+        return x, z
+
+    def freeze(a):
+        assert _same(a, x * iz), "scalarmult does not freeze x/z"
+        return w
+
+    ladder = _ladder(text, int=types.SimpleNamespace(from_bytes=from_bytes), unpack=_only(u, xp),
+                     invert=_only(z, iz), freeze=freeze, pack=_only(w, out))
+    ladder["mladder"] = mladder
+    assert ladder["scalarmult"](s, u) is out, "scalarmult is not pack(freeze(x/z))"
 
 
 def _kernel(name, text):
-    out, seen, operands = _run_kernel(name, text)
-    KERNELS[name][4](out, seen, KERNELS[name][3], *operands)
+    out, _, operands = _run_kernel(name, text)
+    KERNELS[name][4](out, KERNELS[name][3], *operands)
 
 
 # Every claim, by name: its module and its proof.
 PROOFS = {**{name: (row[0], functools.partial(_kernel, name)) for name, row in KERNELS.items()},
           "cmov": ("_linear.py", _cmov), "freeze": ("fe25519.py", _freeze),
           "invert": ("fe25519.py", _invert), "ladderstep": ("ladder.py", _ladderstep),
-          "cswap": ("ladder.py", _cswap), "mladder": ("ladder.py", _mladder)}
+          "cswap": ("ladder.py", _cswap), "mladder": ("ladder.py", _mladder),
+          "scalarmult": ("ladder.py", _scalarmult)}
 
 
 def prove(name, text=None):
-    """Assert the claim `name` of its module's text, or of `text`; keep none
-    of the values it built."""
+    """Assert the claim `name` of its module's text, or of `text`."""
     module, check = PROOFS[name]
-    try:
-        check(sources()[module] if text is None else text)
-    finally:
-        Sym.log = []
+    check(sources()[module] if text is None else text)

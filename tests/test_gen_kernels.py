@@ -32,8 +32,8 @@ def test_committed_kernels_match_generator_byte_for_byte():
 
 
 # Nodes that branch or loop.  None may appear in generated code, so no input
-# can change its control flow: the static complement, for all inputs, of
-# tests/test_constant_time.py's traced runs.
+# can change its control flow; the proofs also run every kernel but cmov on
+# values whose __bool__, __eq__, __hash__ and __index__ raise.
 BRANCHES = (ast.Assert, ast.If, ast.IfExp, ast.While, ast.For, ast.BoolOp, ast.Try)
 
 
@@ -104,11 +104,18 @@ def test_generated_kernel_is_proved_for_all_inputs(name):
     ("mladder", [("cswap(r0, r1, bit ^ prev)", "cswap(r0, r1, bit)")],
      "not exchanged exactly when bit 253 is 1"),  # never undoes the last swap
     ("mladder", [("range(254, -1, -1)", "range(254, 0, -1)")], "makes 254 steps"),  # bit 0 skipped
+    # a branch, a comparison or a table lookup on data raises in its guard
+    ("freeze", [("return cmov(d, a, borrow)", "return a if borrow else d")], "control flow depends on symbolic"),
+    ("invert", [("z2 = square(a)", "if a == 0:\n        return a\n    z2 = square(a)")], "a comparison reads"),
+    ("red512", [("19*(t >> 7)", "(0, 19, 38, 57)[t >> 7]")], "a table is indexed by"),
+    ("scalarmult", [("x, z = mladder(n, xp)\n", "x, z = mladder(n, xp)\n    if z == 0:\n        return bytes(32)\n")],
+     "a comparison reads"),
+    ("scalarmult", [("- x % 8", "- (x % 8 if x % 8 else 0)")], "control flow depends on symbolic"),  # in clamp
 ])
 def test_proof_rejects_kernel_mutants(name, edits, reason):
     text = sources()[PROOFS[name][0]]
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
-    with pytest.raises(AssertionError, match=reason):
+    with pytest.raises((AssertionError, TypeError), match=reason):
         prove(name, text)

@@ -13,10 +13,10 @@ sys.path.append(str(ROOT / "perfbench"))
 from workloads import TRACED, dh_ledger  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["freeze", "invert", "ladderstep", "cswap", "mladder"])
+@pytest.mark.parametrize("name", ["freeze", "invert", "ladderstep", "cswap", "mladder", "scalarmult"])
 def test_layer_is_proved_for_all_inputs(name):
     prove(name)
-    assert Sym.log == []  # the proof keeps none of the values it built
+    assert Sym.log is None  # the proof keeps none of the values it built
 
 
 class _Opaque(bytes):
