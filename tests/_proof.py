@@ -3,7 +3,7 @@ stand-ins, which also answer its relative imports, so no packed25519 module
 attribute is rebound.  A generated kernel runs on `Sym` values with `bytes`
 bound to `tuple`; fe25519.py and ladder.py run with each kernel replaced by
 its proved contract (mul256 is a*b, red512 keeps its value mod p, ...),
-mladder runs on a scalar whose bits are `Sym` atoms, and scalarmult on
+mladder runs on a `Sym` scalar spelled in bit atoms, and scalarmult on
 bytes that raise when a branch or lookup reads them."""
 
 import ast
@@ -22,6 +22,7 @@ PACKAGE = ROOT / "src" / "packed25519"
 P = 2**255 - 19
 
 
+@functools.cache
 def render():
     """tools/gen_kernels.py's output: each generated module's path and text."""
     return runpy.run_path(str(ROOT / "tools" / "gen_kernels.py"))["render"]()
@@ -57,22 +58,35 @@ def _counting(counts, name, fn, stack):
     return counted
 
 
+@functools.cache
+def _span(mono):
+    """The interval of a monomial's product of atoms."""
+    lo = hi = 1
+    for _, a, b in mono:
+        ends = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(ends), max(ends)
+    return lo, hi
+
+
 class Sym:
     """An integer a generated kernel computes, known two ways at once: as a
     polynomial with integer coefficients over atoms, and as an interval.
 
-    The atoms are the input limbs and one fresh quotient atom per right
-    shift, which stands for that shift's floor.  x & (2^s - 1) is
-    x - 2^s * (x >> s) for every Python int, so an identity between the
-    polynomials of two results holds whatever the quotients are.  Each
-    operation keeps the intersection of two intervals, both sound for every
-    input: the one it computes from its operands' intervals, which keeps a
-    carry chain's bounds, and the one its polynomial implies term by term,
-    which sees that a Karatsuba middle s - l - h is a sum of products.  A
-    monomial is a sorted tuple of atoms, and an atom is (id, lo, hi).  An
-    atom whose interval is [0, 1] is a bit, and a monomial holds it at most
-    once, since b*b = b; every atom stands for an integer, so that holds
-    for quotient atoms too.
+    The atoms are the input limbs, the scalar bits and one fresh quotient
+    atom per right shift, which stands for that shift's floor.  x & (2^s - 1)
+    is x - 2^s * (x >> s) for every Python int, so an identity between the
+    polynomials of two results holds whatever the quotients are.  A value
+    spelled in bits, distinct bit atoms at distinct powers of two plus a
+    constant c >= 0 sharing no bit with them, shifts exactly instead: x >> s
+    is sum b_i 2^(i-s) over i >= s plus c >> s, an int if no atom is left.
+    Each operation keeps the intersection of two intervals, both sound for
+    every input: the one it computes from its operands' intervals, which
+    keeps a carry chain's bounds, and the one its polynomial implies from
+    each monomial's interval (`_span`), which sees that a Karatsuba middle
+    s - l - h is a sum of products.  A monomial is a sorted tuple of atoms,
+    and an atom is (id, lo, hi).  An atom whose interval is [0, 1] is a bit,
+    and a monomial holds it at most once, since b*b = b; every atom stands
+    for an integer, so that holds for quotient atoms too.
 
     Code run on a `Sym` cannot read its value: four guards raise TypeError,
     `__bool__` for a branch, `__eq__` for a comparison, `__hash__` for a
@@ -87,11 +101,8 @@ class Sym:
         self.poly = {m: k for m, k in poly.items() if k}
         plo = phi = 0
         for mono, k in self.poly.items():
-            mlo = mhi = k
-            for _, a, b in mono:
-                ends = (mlo * a, mlo * b, mhi * a, mhi * b)
-                mlo, mhi = min(ends), max(ends)
-            plo, phi = plo + mlo, phi + mhi
+            mlo, mhi = _span(mono)
+            plo, phi = (plo + k * mlo, phi + k * mhi) if k > 0 else (plo + k * mhi, phi + k * mlo)
         self.lo, self.hi, self.shifts = max(lo, plo), min(hi, phi), {}
         if Sym.log is not None:
             Sym.log.append(self)
@@ -119,7 +130,8 @@ class Sym:
         return Sym({m: -k for m, k in self.poly.items()}, -self.hi, -self.lo)
 
     def __mul__(self, other):
-        other = Sym.lift(other)
+        if not isinstance(other, Sym):  # a constant: no monomials to multiply
+            return Sym({m: k * other for m, k in self.poly.items()}, *sorted((self.lo * other, self.hi * other)))
         poly = {}
         for (m1, k1), (m2, k2) in itertools.product(self.poly.items(), other.poly.items()):
             m = tuple(sorted(m1 + tuple(a for a in m2 if a[1:] != (0, 1) or a not in m1)))
@@ -142,14 +154,21 @@ class Sym:
         return functools.reduce(Sym.__mul__, [self] * n)
 
     def __rshift__(self, s):
-        # the same shift of the same value is the same quotient atom
-        if s not in self.shifts:
-            self.shifts[s] = Sym.atom(self.lo >> s, self.hi >> s)
+        if s not in self.shifts:  # the same shift of the same value is the same result
+            places = 0  # a carry chain's value fails this test at its first term
+            for mono, k in self.poly.items():
+                if k < 0 or k & places or mono and (len(mono) > 1 or mono[0][1:] != (0, 1) or k & (k - 1)):
+                    self.shifts[s] = Sym.atom(self.lo >> s, self.hi >> s)  # not spelled in bits
+                    break
+                places |= k
+            else:
+                poly = {m: k >> s for m, k in self.poly.items() if k >> s}
+                self.shifts[s] = Sym(poly, self.lo >> s, self.hi >> s) if any(poly) else poly.get((), 0)
         return self.shifts[s]
 
     def __and__(self, mask):
         s = mask.bit_length()
-        assert mask == 2**s - 1
+        assert mask == 2**s - 1, f"& takes a mask 2^s - 1, not {mask}"
         return Sym((self - (self >> s) * 2**s).poly, 0, mask)
 
     def __mod__(self, m):
@@ -173,13 +192,18 @@ def _same(x, y):
     return not (Sym.lift(x) - y).poly
 
 
-def _value(limbs):
-    return sum(x * 2**(8 * k) for k, x in enumerate(limbs))
+def _value(digits, width=8):
+    """The number little-endian digits of `width` bits spell, in one pass:
+    sum() would copy its growing polynomial once per digit."""
+    terms, poly = [Sym.lift(x) * 2**(width * k) for k, x in enumerate(digits)], collections.Counter()
+    for x in terms:
+        poly.update(x.poly)
+    return Sym(poly, sum(x.lo for x in terms), sum(x.hi for x in terms))
 
 
 def _mul16(cols, spec, a, b):
     # operands are byte limbs or sums of two, at most 510
-    assert len(cols) == 31
+    assert len(cols) == 31, f"mul16 returns {len(cols)} columns, not 31"
     for k, col in enumerate(cols):
         schoolbook = sum(a[i] * b[k - i] for i in range(max(0, k - 15), min(k, 15) + 1))
         assert _same(col, schoolbook), f"column {k} is not the schoolbook column"
@@ -203,7 +227,7 @@ def _reduction(top_carry):
         assert all(x.lo >= 0 for x in out), "the lower part can be negative"
         assert all(x.hi <= 255 for x in out), "the top limb can exceed a byte"
         assert w.hi < 2 * P, "W can reach 2p"
-        assert out[-1].hi - 127 == top_carry
+        assert out[-1].hi - 127 == top_carry, f"the top limb's bound is not 127 + {top_carry}"
     return claim
 
 
@@ -255,22 +279,7 @@ def _cmov(text):
     want = [*unpack, "m = -c & 255", f"return bytes(({moves}))"]
     assert [ast.unparse(s) for s in body] == want, "a limb is not the masked move"
     assert all(a ^ ((a ^ b) & (-c & 255)) == (b if c else a)
-               for a in range(256) for b in range(256) for c in (0, 1))
-
-
-class _Scalar(tuple):
-    """A scalar as its bits, lowest first, some of them `Sym`: n >> s drops
-    s bits and is an int once no bit is symbolic, and (n >> s) & 1 is bit s."""
-
-    def __rshift__(self, s):
-        rest = self[s:]
-        if any(isinstance(b, Sym) for b in rest):
-            return _Scalar(rest)
-        return sum(b << k for k, b in enumerate(rest))
-
-    def __and__(self, mask):
-        assert mask == 1
-        return self[0]
+               for a in range(256) for b in range(256) for c in (0, 1)), "the masked move is wrong for some a, b and c"
 
 
 def _select(a, b, c):
@@ -283,8 +292,7 @@ def _select(a, b, c):
 def _fe(text, **kernels):
     """fe25519.py's namespace, with each kernel it imports standing in as
     its proved contract unless `kernels` gives one."""
-    contracts = {name: KERNELS[name][3] for name in ("mul256", "sqr256", "red512", "add_mod", "sub_mod",
-                                                     "mul121666")}
+    contracts = {name: row[3] for name, row in KERNELS.items() if row[3]}
     return _run(text, "fe25519.py", **{**contracts, "cmov": _select, "subp": None, **kernels})
 
 
@@ -310,20 +318,20 @@ def _mladder(text):
     """For every n with bit 254 set, mladder makes 255 steps and 255 swaps
     and returns the multiple n when n is even and n + 1 when n is odd.
 
-    One run covers every such n: bits 0..253 are `Sym` bit atoms, so every
-    value of them runs at once, and control flow that reads them raises.
-    A register holding k times the point P is labelled (k + 1, k):
-    setone() is 1, setzero() is 0 and xp is 2, so the ladder starts from
-    (1 : 0) = 0P and (xp : 1) = 1P.  ladderstep stands in as its proved
-    contract on multiples, (k0, k1) to (2k0, k0 + k1) with difference
-    xp.  The induction: before the step for bit i the registers hold
-    (m, m + 1), m = n >> (i + 1), exchanged exactly when bit i is 1; the
-    step then leaves (m', m' + 1), m' = n >> i, exchanged exactly when
-    bit i is 1.  Each step checks it, for all four (bit i, bit i + 1)
-    transitions at once."""
+    One run covers every such n: n is the `Sym` 2^254 + sum b_j 2^j over
+    bit atoms b_0..b_253, so every value of them runs at once, control flow
+    that reads them raises, and n >> i is exact.  A register holding k times
+    the point P is labelled (k + 1, k): setone() is 1, setzero() is 0 and xp
+    is 2, so the ladder starts from (1 : 0) = 0P and (xp : 1) = 1P.
+    ladderstep stands in as its proved contract on multiples, (k0, k1) to
+    (2k0, k0 + k1) with difference xp.  The induction: before the step for
+    bit i the registers hold (m, m + 1), m = n >> (i + 1), exchanged exactly
+    when bit i is 1; the step then leaves (m', m' + 1), m' = n >> i,
+    exchanged exactly when bit i is 1.  Each step checks it, for all four
+    (bit i, bit i + 1) transitions at once."""
     bits = [*(Sym.atom(0, 1) for _ in range(254)), 1]
-    n = sum(b * 2**j for j, b in enumerate(bits))
-    counts, stack, m = collections.Counter(), [], 0
+    n = _value(bits, 1)
+    counts, stack = collections.Counter(), []
 
     def multiple(ratio):
         x, z = ratio
@@ -331,19 +339,17 @@ def _mladder(text):
         return z
 
     def step(xp, r0, r1):
-        nonlocal m
         i = 255 - counts["ladderstep"]
-        b, (k0, k1) = bits[i], map(multiple, (r0, r1))
+        m, b, (k0, k1) = n >> (i + 1), bits[i], map(multiple, (r0, r1))
         assert _same(xp, 2), "a step's difference is not xp"
         assert _same(k0, m + b) and _same(k1, m + 1 - b), \
             f"before the step for bit {i}, the registers are not exchanged exactly when bit {i} is 1"
-        m = 2 * m + b
         return (2 * k0 + 1, 2 * k0), (k0 + k1 + 1, k0 + k1)
 
     ladder = _ladder(text, setone=lambda: 1, setzero=lambda: 0)
     ladder["ladderstep"] = _counting(counts, "ladderstep", step, stack)
     ladder["cswap"] = _counting(counts, "cswap", ladder["cswap"], stack)
-    got = multiple(ladder["mladder"](_Scalar(bits), 2))
+    got = multiple(ladder["mladder"](n, 2))
     assert counts == {"ladderstep": 255, "cswap": 255}, \
         f"mladder makes {counts['ladderstep']} steps and {counts['cswap']} swaps"
     assert _same(got, n + bits[0]), "mladder does not return n for even n and n + 1 for odd n"
@@ -411,19 +417,20 @@ def _scalarmult(text):
     (x : z) = mladder(clamp(s), unpack(u)), and nothing reads the bytes of
     s or u or branches on a value computed from them.  unpack, mladder,
     invert, freeze and pack stand in on atoms, each accepting only the value
-    it should get; clamp's own text runs on int.from_bytes(s) as an atom,
-    and gives mladder a multiple of 8 in [2^254, 2^255), where the mladder
-    proof returns n."""
+    it should get.  clamp's own text runs on int.from_bytes(s), sum b_i 2^i
+    over 256 bit atoms, and gives mladder exactly 2^254 + sum b_i 2^i over
+    3 <= i < 254, its image for every s, which the mladder proof covers."""
     s, u, out = _Secret(32), _Secret(32), object()
     xp, x, z, iz, w = (Sym.atom(0, P - 1) for _ in range(5))
+    bits = [Sym.atom(0, 1) for _ in range(256)]
 
     def from_bytes(raw, order):
         assert raw is s and order == "little", "clamp does not read s little-endian"
-        return Sym.atom(0, 2**256 - 1)
+        return _value(bits, 1)
 
     def mladder(n, point):
-        assert all(k % 8 == 0 for k in n.poly.values()) and 2**254 - 8 < n.lo and n.hi < 2**255, \
-            "clamp's result is not a multiple of 8 in [2^254, 2^255)"
+        assert _same(n, 2**254 + 8 * _value(bits[3:254], 1)), \
+            "clamp's result is not 2^254 plus bits 3..253 of s"
         assert point is xp, "mladder's point is not unpack(u)"
         return x, z
 

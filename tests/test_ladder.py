@@ -1,4 +1,3 @@
-import random
 import subprocess
 import sys
 
@@ -19,25 +18,6 @@ def val(b):
 
 
 # ----------------------------------------------------------------- clamp
-
-def test_clamp_examples():
-    assert clamp(le(0)) == 2**254
-    assert clamp(le(7)) == 2**254
-    assert clamp(le(2**255 - 1)) == 2**255 - 8
-    assert clamp(le(2**256 - 1)) == 2**255 - 8
-
-
-def test_clamp_fixed_points():
-    for s in (2**254, 2**254 + 8, 2**255 - 8):
-        assert clamp(le(s)) == s
-
-
-def test_clamp_is_idempotent():
-    rng = random.Random(22)
-    for _ in range(200):
-        c = clamp(le(rng.randrange(2**256)))
-        assert clamp(le(c)) == c
-
 
 def test_clamp_rejects_wrong_length():
     with pytest.raises(ValueError):
