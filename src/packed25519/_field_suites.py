@@ -5,43 +5,26 @@
   findings    red512 lands below 2p and one conditional subtraction freezes
 
 Each suite is `<name>_edges(t)` and `<name>_trial(t, st, k)`, and every check
-goes to `t.check`; `difftest` holds the engine that runs them, and sets
-`t.at`, the tag a message starts with.  The ladder layer's checks are in
-`_ladder_suites`, since the parser's transient peak is per module.
+goes to `t.check`; `difftest` holds the engine that runs them and the ladder
+layer's checks, and sets `t.at`, the tag a message starts with.
 """
-
-from typing import NamedTuple, Tuple
 
 from . import fe25519, mp_arith, oracle
 
 P = oracle.P
 TWO_P = 2 * P
 
-
-class EdgeCorpus(NamedTuple):
-    """Adversarial fixed inputs, as integers."""
-
-    u256: Tuple[int, ...]
-    u512: Tuple[int, ...]
-
-
-def edge_corpus() -> EdgeCorpus:
-    """Values sitting on the boundaries the kernels have to get right.
-
-    The 256-bit list walks the reduction boundaries 0, p and 2p (note that
-    2p + 37 = 2^256 - 1, the largest representable value) plus the bit-255
-    edge.
-    """
-    p = P
-    u256 = (0, 1, 2, p - 2, p - 1, p, p + 1, 2 * p - 1, 2 * p, 2 * p + 37,
-            2**255 - 1, 2**255, 2**256 - 1)
-    u512 = tuple(dict.fromkeys(
-        u256
-        + tuple(v << 256 for v in u256)
-        + ((p - 1) ** 2, p * p, p * (p + 1), (2**256 - 1) ** 2,
-           2**511, 2**512 - 1)
-    ))
-    return EdgeCorpus(u256, u512)
+# Values sitting on the boundaries the kernels have to get right.  The
+# 256-bit edges walk the reduction boundaries 0, p and 2p (note that
+# 2p + 37 = 2^256 - 1, the largest representable value) plus the bit-255
+# edge.
+EDGES_256 = (0, 1, 2, P - 2, P - 1, P, P + 1, 2 * P - 1, 2 * P, 2 * P + 37,
+             2**255 - 1, 2**255, 2**256 - 1)
+EDGES_512 = tuple(dict.fromkeys(
+    EDGES_256
+    + tuple(v << 256 for v in EDGES_256)
+    + ((P - 1) ** 2, P * P, P * (P + 1), (2**256 - 1) ** 2, 2**511, 2**512 - 1)
+))
 
 
 def _le(v: int, n: int = 32) -> bytes:
@@ -83,9 +66,8 @@ def _check_mp_pair(t, a: bytes, b: bytes, m: bytes) -> None:
 
 
 def mp_edges(t) -> None:
-    corpus = edge_corpus()
-    for x in corpus.u256:
-        for y in corpus.u256:
+    for x in EDGES_256:
+        for y in EDGES_256:
             a, b = _le(x), _le(y)
             _check_mp_pair(t, a, b, _le(x, 64))
 
@@ -124,8 +106,7 @@ def _check_fe_pair(t, a: bytes, b: bytes) -> None:
 
 
 def fe_edges(t) -> None:
-    corpus = edge_corpus()
-    for x in corpus.u256:
+    for x in EDGES_256:
         for y in (0, 1, P - 1, P, 2 * P - 1, 2**256 - 1):
             _check_fe_pair(t, _le(x), _le(y))
     zero, one = fe25519.setzero(), fe25519.setone()
@@ -159,7 +140,7 @@ def _check_finding(t, m: bytes) -> None:
 
 
 def findings_edges(t) -> None:
-    for v in edge_corpus().u512:
+    for v in EDGES_512:
         _check_finding(t, _le(v, 64))
 
 

@@ -11,7 +11,7 @@ Selection (`cmov`) is arithmetic masking; nothing here branches on data.
 
 # add, sub, mul121666 and cmov are the mp_arith kernels themselves, with no
 # wrapper frame.
-from .mp_arith import cmov, mul121666, mul256, red512, sqr256, sub_mod, subp
+from .mp_arith import cmov, mul121666, mul256, red512, sqr256, subp
 from .mp_arith import add_mod as add, sub_mod as sub
 
 FieldElem = bytes
@@ -30,7 +30,7 @@ def setone() -> FieldElem:
 
 def neg(a: FieldElem) -> FieldElem:
     """Additive inverse, as 0 - a."""
-    return sub_mod(_ZERO, a)
+    return sub(_ZERO, a)
 
 
 def mul(a: FieldElem, b: FieldElem) -> FieldElem:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from packed25519 import _kernels, _linear, _reduce, _square, difftest, faults, fe25519, mp_arith
-from packed25519.difftest import EdgeCorpus, TrialConfig, edge_corpus, run_suite
+from packed25519.difftest import EDGES_256, EDGES_512, TrialConfig, run_suite
 
 P = 2**255 - 19
 
@@ -61,21 +61,17 @@ def test_stream_depends_only_on_seed_suite_trial():
     assert difftest._Stream(9, "fe", 6).u256() != difftest._Stream(9, "fe", 5).u256()
 
 
-def test_config_validation_happens_before_running():
-    with pytest.raises(ValueError):
-        run_suite(TrialConfig(trials=0))
-    with pytest.raises(ValueError):
-        run_suite(TrialConfig(trials=-5))
-    with pytest.raises(ValueError):
-        run_suite(TrialConfig(suites=("mp", "bogus")))
-    with pytest.raises(ValueError):
-        run_suite(TrialConfig(suites=()))
-    with pytest.raises(ValueError):
-        run_suite(TrialConfig(seed=-1))
-    with pytest.raises(ValueError):
-        run_suite(TrialConfig(seed=2**64))
-    with pytest.raises(ValueError):
-        run_suite(TrialConfig(seed=1.5))
+def test_config_validation_happens_before_running(monkeypatch):
+    ran = []
+    for name in difftest.SUITE_NAMES:
+        record = lambda *args, name=name: ran.append(name)
+        monkeypatch.setitem(difftest.SUITES, name, (record, record))
+    for cfg in (TrialConfig(trials=0), TrialConfig(trials=-5), TrialConfig(suites=("mp", "bogus")),
+                TrialConfig(suites=()), TrialConfig(seed=-1), TrialConfig(seed=2**64),
+                TrialConfig(seed=1.5)):
+        with pytest.raises(ValueError):
+            run_suite(cfg)
+        assert ran == [], f"{cfg} ran {ran} before it was refused"
 
 
 def test_suite_subset_runs_only_requested():
@@ -89,17 +85,15 @@ def test_json_report_round_trips():
 
 
 def test_edge_corpus_contents():
-    corpus = edge_corpus()
-    assert isinstance(corpus, EdgeCorpus)
     assert 2 * P + 37 == 2**256 - 1
     # the mp suite is the only random-input test of the 256-bit kernels, and
     # the findings suite of red512, so these edges must stay in the corpus
     for v in (0, 1, P, 2 * P - 1, 2 * P, 2 * P + 37, 2**255):
-        assert v in corpus.u256
+        assert v in EDGES_256
     for v in (2 * P, P * P, (P - 1) ** 2, (2**256 - 1) ** 2, 2**511, 2**512 - 1):
-        assert v in corpus.u512
-    assert all(v < 2**256 for v in corpus.u256)
-    assert all(v < 2**512 for v in corpus.u512)
+        assert v in EDGES_512
+    assert all(v < 2**256 for v in EDGES_256)
+    assert all(v < 2**512 for v in EDGES_512)
 
 
 def test_broken_red512_is_caught_with_counterexample():
@@ -153,7 +147,7 @@ def test_an_exception_in_a_trial_names_the_trial(monkeypatch):
 
     def red512(m):
         calls.append(m)
-        if len(calls) > len(edge_corpus().u512):
+        if len(calls) > len(EDGES_512):
             raise ValueError("stand-in")
         return _reduce.red512(m)
 

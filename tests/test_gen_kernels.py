@@ -1,8 +1,8 @@
 """The committed kernel modules are exactly what tools/gen_kernels.py emits,
-straight-line and within the parser's budget, every package module is within
-its compile budget, and every generated kernel is proved for all inputs
-(tests/_proof.py).  One table of mutants shows that each proof, the layers'
-included, can fail."""
+straight-line and within the parser's budget, and every package module is
+within its compile budget.  One table of mutants shows that each proof of
+tests/_proof.py, the layers' included, can fail; test_layer_proofs.py runs
+every proof on the committed code."""
 
 import ast
 import subprocess
@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from _proof import KERNELS, PACKAGE, PROOFS, Sym, _run_kernel, _same, prove, render, sources
+from _proof import PACKAGE, PROOFS, Sym, _run_kernel, _same, prove, render, sources
 
 # Syntax-tree nodes of the largest generated module before mul16 gained its
 # inner Karatsuba level, and its compile peak by tracemalloc.  The parser's
@@ -71,21 +71,12 @@ def test_a_shift_is_exact_only_on_distinct_bit_places():
     assert _same((b + 2 * c + 4) >> 1, c + 2)
 
 
-def test_mul16_is_the_schoolbook_product_for_all_inputs():
-    prove("mul16")
-
-
 def test_mul16_column_bounds_for_all_inputs():
     cols, seen, _ = _run_kernel("mul16", sources()["_kernels.py"])
     # every value mul16 computes, half sums and inner block columns included
     assert min(v.lo for v in seen) >= 0, "a value can be negative"
     assert max(v.hi for v in seen) == 8 * 1020 * 1020 < 2**23  # an inner middle column
     assert max(col.hi for col in cols) == 16 * 510 * 510 < 2**22
-
-
-@pytest.mark.parametrize("name", [name for name in KERNELS if name != "mul16"] + ["cmov"])
-def test_generated_kernel_is_proved_for_all_inputs(name):
-    prove(name)
 
 
 @pytest.mark.parametrize("name, edits, reason", [

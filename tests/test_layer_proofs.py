@@ -1,5 +1,6 @@
-"""The layers above the kernels, proved for all inputs on the kernels'
-contracts (tests/_proof.py), and the benchmark's ledger as a theorem."""
+"""Every claim of tests/_proof.py proved for all inputs: each generated
+kernel, the bottom layer, and the layers above it on the kernels'
+contracts; and the benchmark's ledger as a theorem."""
 
 import collections
 import sys
@@ -7,13 +8,13 @@ import types
 
 import pytest
 
-from _proof import ROOT, Sym, _counting, _run, prove, sources
+from _proof import PROOFS, ROOT, Sym, _counting, _run, prove, sources
 
 sys.path.append(str(ROOT / "perfbench"))
 from workloads import TRACED, dh_ledger  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["freeze", "invert", "ladderstep", "cswap", "mladder", "scalarmult"])
+@pytest.mark.parametrize("name", PROOFS)
 def test_layer_is_proved_for_all_inputs(name):
     prove(name)
     assert Sym.log is None  # the proof keeps none of the values it built
