@@ -248,9 +248,9 @@ def run_suite(cfg: TrialConfig) -> TrialReport:
     the suite, the exception, the function that raised it and the check in
     progress; that suite stops there, and the others still run.
     """
-    if not isinstance(cfg.trials, int) or cfg.trials < 1:
+    if type(cfg.trials) is not int or cfg.trials < 1:
         raise ValueError(f"trials must be a positive integer, got {cfg.trials!r}")
-    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**64:
+    if type(cfg.seed) is not int or not 0 <= cfg.seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {cfg.seed!r}")
     if not cfg.suites:
         raise ValueError("no suites selected")

@@ -4,9 +4,9 @@ A field element is 32 little-endian byte limbs.  Elements are kept only
 *partially* reduced — every operation returns a representative below 2p —
 and are canonicalized exactly once, at pack time, by `freeze`.  Because the
 representative bound is 2p, freeze needs a single conditional subtraction
-of p: one subp plus one masked move, no loop.
+of p: one subp plus one selection, no loop.
 
-Selection (`cmov`) is arithmetic masking; nothing here branches on data.
+Selection (`cmov`) is a*(1 - c) + b*c; nothing here branches on data.
 """
 
 # add, sub, mul121666 and cmov are the mp_arith kernels themselves, with no
@@ -45,8 +45,8 @@ def freeze(a: FieldElem) -> FieldElem:
     """Canonical representative in [0, p) of an element below 2p.
 
     Exactly one trial subtraction of p suffices because every arithmetic
-    routine here keeps its result below 2p; the masked move keeps the
-    original when the subtraction borrowed (a < p).
+    routine here keeps its result below 2p; cmov keeps the original when
+    the subtraction borrowed (a < p).
     """
     d, borrow = subp(a)
     return cmov(d, a, borrow)

@@ -1,9 +1,9 @@
 """Montgomery ladder and the X25519 scalar-multiplication pipeline.
 
 The ladder works on projective x-coordinate pairs (X : Z) of packed field
-elements and never materializes y.  Scalar bits drive only masked swaps
-(`cswap`); every run executes the identical fixed sequence of 255 ladder
-steps over bits 254..0.
+elements and never materializes y.  Scalar bits drive only arithmetic
+swaps (`cswap`); every run executes the identical fixed sequence of 255
+ladder steps over bits 254..0.
 
 Scalars are clamped before laddering: a multiple of 8 with bit 254 set and
 bit 255 clear.  Evenness means no un-swap is needed after the last
@@ -35,7 +35,7 @@ def clamp(s: bytes) -> int:
 
 
 def cswap(r0: Ratio, r1: Ratio, swap: int) -> Tuple[Ratio, Ratio]:
-    """Swap both ratios when swap = 1, via masked moves only."""
+    """Swap both ratios when swap = 1, by four cmov selections."""
     x0, z0 = r0
     x1, z1 = r1
     return (

@@ -21,5 +21,3 @@ from ._kernels import mul256
 from ._linear import cmov, mul121666, subp
 from ._reduce import add_mod, red512, sub_mod
 from ._square import sqr256
-
-P = 2**255 - 19

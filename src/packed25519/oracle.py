@@ -12,8 +12,8 @@ Deliberately variable-time.  Never use it for real key material.
 from typing import NamedTuple, Optional, Tuple
 
 # The field prime 2^255 - 19.  Its primality is an assumption of everything
-# here (it makes `affine` a true inverse via Fermat); see the README for the
-# one-off check recorded against an external primality test.
+# here (it makes `affine` a true inverse via Fermat), and
+# tests/test_oracle.py::test_prime_is_prime checks it where sympy is installed.
 P = 2**255 - 19
 
 # Curve coefficients of B*y^2 = x^3 + A*x^2 + x.  B never appears in x-only

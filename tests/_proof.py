@@ -6,7 +6,6 @@ its proved contract (mul256 is a*b, red512 keeps its value mod p, ...),
 mladder runs on a `Sym` scalar spelled in bit atoms, and scalarmult on
 bytes that raise when a branch or lookup reads them."""
 
-import ast
 import builtins
 import collections
 import functools
@@ -19,7 +18,7 @@ from packed25519 import oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "packed25519"
-P = 2**255 - 19
+P = oracle.P
 
 
 @functools.cache
@@ -238,8 +237,8 @@ def _subp(out, spec, a):
     assert 0 <= borrow.lo and borrow.hi <= 1, "the borrow can leave [0, 1]"
 
 
-# Every generated kernel that computes a polynomial (cmov, a masked move,
-# has its own proof below): its module, its operands' widths, the bound of
+# Every generated kernel whose operands are all limbs (cmov's flag c is not,
+# so `_cmov` below runs it): its module, its operands' widths, the bound of
 # their limbs, its contract and its claim.  For byte inputs the carry into a
 # reduction's top limb is at most 39, 2, 5 and 1, so its result is below
 # 167, 130, 133 and 129 times 2^248, all below 2p.
@@ -270,23 +269,23 @@ def _run_kernel(name, text):
     return out, seen, operands
 
 
-def _cmov(text):
-    """cmov(a, b, c) is b when c = 1 and a when c = 0: its body is one
-    masked move per limb, and that move is right in all 256*256*2 cases."""
-    body = next(f for f in ast.parse(text).body if getattr(f, "name", "") == "cmov").body[1:]
-    unpack = [", ".join(f"{x}{k}" for k in range(32)) + f" = {x}" for x in "ab"]
-    moves = ", ".join(f"a{k} ^ (a{k} ^ b{k}) & m" for k in range(32))
-    want = [*unpack, "m = -c & 255", f"return bytes(({moves}))"]
-    assert [ast.unparse(s) for s in body] == want, "a limb is not the masked move"
-    assert all(a ^ ((a ^ b) & (-c & 255)) == (b if c else a)
-               for a in range(256) for b in range(256) for c in (0, 1)), "the masked move is wrong for some a, b and c"
-
-
 def _select(a, b, c):
     """cmov's proved contract, b when c = 1 and a when c = 0, written
     a + c*(b - a) so that c may be a polynomial in scalar bits."""
-    assert _same(c * c, c), "cmov's mask can be neither 0 nor 1"
+    assert _same(c * c, c), "cmov's flag can be neither 0 nor 1"
     return a + c * (b - a)
+
+
+def _cmov(text):
+    """cmov(a, b, c) is exactly a when c = 0 and b when c = 1, and is
+    `_select`'s polynomial when c is a bit atom, so that nothing in it can
+    branch on or look up c."""
+    cmov = _run(text, "_linear.py", bytes=tuple)["cmov"]
+    a, b = ([Sym.atom(0, 255) for _ in range(32)] for _ in "ab")
+    bit = Sym.atom(0, 1)
+    for c, want in ((0, a), (1, b), (bit, [_select(x, y, bit) for x, y in zip(a, b)])):
+        assert all(_same(g, w) for g, w in zip(cmov(a, b, c), want, strict=True)), \
+            "cmov is not a when c = 0, b when c = 1 and a + c*(b - a) for a bit c"
 
 
 def _fe(text, **kernels):

@@ -68,7 +68,7 @@ def test_config_validation_happens_before_running(monkeypatch):
         monkeypatch.setitem(difftest.SUITES, name, (record, record))
     for cfg in (TrialConfig(trials=0), TrialConfig(trials=-5), TrialConfig(suites=("mp", "bogus")),
                 TrialConfig(suites=()), TrialConfig(seed=-1), TrialConfig(seed=2**64),
-                TrialConfig(seed=1.5)):
+                TrialConfig(seed=1.5), TrialConfig(seed=True), TrialConfig(trials=True)):
         with pytest.raises(ValueError):
             run_suite(cfg)
         assert ran == [], f"{cfg} ran {ran} before it was refused"

@@ -33,8 +33,8 @@ def test_committed_kernels_match_generator_byte_for_byte():
 
 
 # Nodes that branch or loop.  None may appear in generated code, so no input
-# can change its control flow; the proofs also run every kernel but cmov on
-# values whose __bool__, __eq__, __hash__ and __index__ raise.
+# can change its control flow; the proofs also run every kernel on values
+# whose __bool__, __eq__, __hash__ and __index__ raise.
 BRANCHES = (ast.Assert, ast.If, ast.IfExp, ast.While, ast.For, ast.BoolOp, ast.Try)
 
 
@@ -91,7 +91,7 @@ def test_mul16_column_bounds_for_all_inputs():
     ("mul16", [("u0*v0", "u0*v1")], "not the schoolbook column"),  # a wrong inner product
     ("subp", [("a0 - 237", "a0 - 236")], "not a - p"),  # one limb of p off by one
     ("mul121666", [("121666*a", "121665*a")], "not spec mod p"),  # the curve constant off by one
-    ("cmov", [("a5 ^ ((a5 ^ b5) & m)", "a5 ^ (a5 ^ b5)")], "not the masked move"),  # a limb moved unmasked
+    ("cmov", [("a5*n + b5*c", "a5")], "not a when c = 0, b when c = 1"),  # a limb that ignores c
     ("freeze", [("cmov(d, a, borrow)", "cmov(a, d, borrow)")], "not a mod p"),  # the move reversed
     ("invert", [("_nsquare(z2_40_0, 10)", "_nsquare(z2_40_0, 9)")], "not p - 2"),  # a square missing
     ("ladderstep", [("z1 = add(z1, x1)", "z1 = sub(z1, x1)")], "not the oracle's"),
@@ -114,6 +114,9 @@ def test_mul16_column_bounds_for_all_inputs():
     ("scalarmult", [("x % 2**254", "x % 2**253")], "plus bits 3..253 of s"),
     ("scalarmult", [("- x % 8", "- x % 4")], "plus bits 3..253 of s"),
     ("scalarmult", [("x % 2**254", "x % 2**255")], "plus bits 3..253 of s"),
+    # cmov with a wrong complement, and a limb looked up by c
+    ("cmov", [("n = 1 - c", "n = c")], "not a when c = 0, b when c = 1"),
+    ("cmov", [("a5*n + b5*c", "(a5, b5)[c]")], "a table is indexed by"),
 ])
 def test_proof_rejects_kernel_mutants(name, edits, reason):
     text = sources()[PROOFS[name][0]]

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from packed25519.mp_arith import P, add_mod, cmov, mul121666, mul256, red512, sqr256, sub_mod, subp
+from packed25519.mp_arith import add_mod, cmov, mul121666, mul256, red512, sqr256, sub_mod, subp
+from packed25519.oracle import P
 
 GENERATOR = Path(__file__).resolve().parent.parent / "tools" / "gen_kernels.py"
 FOURP = runpy.run_path(str(GENERATOR))["FOURP"]  # sub_mod's 32 columns of 4p

@@ -71,7 +71,7 @@ so W < 2p and one conditional subtraction canonicalizes.
   subp(a)           (a - p) mod 2^256 and the borrow: one carry display over
                     a[k] - p[k] with every limb masked, then -(c >> 8);
                     `>> 8` floors, so a borrow is a carry of -1.
-  cmov(a, b, c)     a[k] ^ ((a[k] ^ b[k]) & m) for the mask m = -c & 255.
+  cmov(a, b, c)     a[k]*n + b[k]*c for n = 1 - c: a when c = 0, b when c = 1.
 
 No linear kernel calls red512, so red512 counts only reductions of
 products.  No generated function contains an assert or any other branch,
@@ -80,7 +80,7 @@ outside): tests/test_gen_kernels.py rejects every branch node.
 
 tests/_proof.py proves every claim above for all byte inputs: it runs
 render()'s text on values that are at once polynomials over atoms and
-intervals, reads cmov's text limb by limb, and rejects mutants of it.
+intervals.
 
 The kernels are split over modules because the parser's transient peak is
 per module and grows with the source's size, and every process parses the
@@ -231,9 +231,9 @@ def _subp() -> List[str]:
 
 
 def _cmov() -> List[str]:
-    return (_head("cmov(a, b, c)", "a when c = 0, b when c = 1, via masked moves (no branch on c).", "ab")
-            + ["    m = -c & 255", "    return bytes(("]
-            + [f"        a{k} ^ ((a{k} ^ b{k}) & m)," for k in range(LIMBS)] + ["    ))"])
+    return (_head("cmov(a, b, c)", "a when c = 0, b when c = 1, as a*(1 - c) + b*c (no branch on c).", "ab")
+            + ["    n = 1 - c", "    return bytes(("]
+            + [f"        a{k}*n + b{k}*c," for k in range(LIMBS)] + ["    ))"])
 
 
 def _module(title: str, blocks: List[List[str]]) -> str:
