@@ -35,6 +35,12 @@ def _int(b: bytes) -> int:
     return int.from_bytes(b, "little")
 
 
+def _cong(t, name: str, a: bytes, b: bytes, got: bytes, want: int) -> None:
+    g = _int(got)
+    t.check(g % P == want % P and g < TWO_P,
+            lambda: f"{t.at} {name} a={a.hex()} b={b.hex()} got={got.hex()}")
+
+
 def _check_red512(t, m: bytes) -> bytes:
     r = mp_arith.red512(m)
     ir = _int(r)
@@ -57,12 +63,8 @@ def _check_mp_pair(t, a: bytes, b: bytes, m: bytes) -> None:
     t.check(_int(d) == (ia - P) % 2**256 and borrow == (1 if ia < P else 0),
             lambda: f"{t.at} subp a={a.hex()} got={d.hex()} borrow={borrow}")
     _check_red512(t, m)
-    s = mp_arith.add_mod(a, b)
-    t.check(_int(s) % P == (ia + ib) % P and _int(s) < TWO_P,
-            lambda: f"{t.at} add_mod a={a.hex()} b={b.hex()} got={s.hex()}")
-    w = mp_arith.sub_mod(a, b)
-    t.check(_int(w) % P == (ia - ib) % P and _int(w) < TWO_P,
-            lambda: f"{t.at} sub_mod a={a.hex()} b={b.hex()} got={w.hex()}")
+    _cong(t, "add_mod", a, b, mp_arith.add_mod(a, b), ia + ib)
+    _cong(t, "sub_mod", a, b, mp_arith.sub_mod(a, b), ia - ib)
 
 
 def mp_edges(t) -> None:
@@ -80,19 +82,13 @@ def mp_trial(t, st, k: int) -> None:
 
 def _check_fe_pair(t, a: bytes, b: bytes) -> None:
     ia, ib = _int(a), _int(b)
-
-    def cong(name: str, got: bytes, want: int) -> None:
-        g = _int(got)
-        t.check(g % P == want % P and g < TWO_P,
-                lambda: f"{t.at} {name} a={a.hex()} b={b.hex()} got={got.hex()}")
-
-    cong("add", fe25519.add(a, b), ia + ib)
-    cong("sub", fe25519.sub(a, b), ia - ib)
+    _cong(t, "add", a, b, fe25519.add(a, b), ia + ib)
+    _cong(t, "sub", a, b, fe25519.sub(a, b), ia - ib)
     r = fe25519.mul(a, b)
-    cong("mul", r, ia * ib)
-    cong("square", fe25519.square(a), ia * ia)
-    cong("mul121666", fe25519.mul121666(a), ia * 121666)
-    cong("neg", fe25519.neg(a), -ia)
+    _cong(t, "mul", a, b, r, ia * ib)
+    _cong(t, "square", a, b, fe25519.square(a), ia * ia)
+    _cong(t, "mul121666", a, b, fe25519.mul121666(a), ia * 121666)
+    _cong(t, "neg", a, b, fe25519.neg(a), -ia)
 
     f = fe25519.freeze(r)
     t.check(_int(f) == _int(r) % P,

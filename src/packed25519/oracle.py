@@ -21,7 +21,6 @@ P = 2**255 - 19
 # satisfies A = 4*121666 - 2.
 A = 486662
 B = 1
-C121666 = 121666
 
 
 class Ratio(NamedTuple):

@@ -200,7 +200,7 @@ def _value(digits, width=8):
     return Sym(poly, sum(x.lo for x in terms), sum(x.hi for x in terms))
 
 
-def _mul16(cols, spec, a, b):
+def _mul16(cols, seen, spec, a, b):
     # operands are byte limbs or sums of two, at most 510
     assert len(cols) == 31, f"mul16 returns {len(cols)} columns, not 31"
     for k, col in enumerate(cols):
@@ -208,18 +208,26 @@ def _mul16(cols, spec, a, b):
         assert _same(col, schoolbook), f"column {k} is not the schoolbook column"
 
 
-def _product(out, spec, *operands):
+def _product(out, seen, spec, *operands):
     assert _same(_value(out), spec(*map(_value, operands))), "value(out) is not the product"
     assert all(0 <= x.lo and x.hi <= 255 for x in out), "a limb can leave [0, 255]"
 
 
-def _reduction(top_carry):
+def _reduction(top_carry, total, top=None):
     """W = spec (mod p) and 0 <= W < 2p, with the given carry into the top
-    limb, for every byte input."""
-    def claim(out, spec, *operands):
+    limb, for every byte input; exactly, W = V - p*(t >> 7) for the column
+    total V = total(*operands) and the value t the kernel shifts by 7, its
+    top column top(*operands) where that is given."""
+    def claim(out, seen, spec, *operands):
         w = _value(out)
         # algebraic: W - spec is p times an integer combination of the atoms
         assert all(k % P == 0 for k in (w - spec(*map(_value, operands))).poly.values()), "not spec mod p"
+        # exact: q = t >> 7 is the quotient atom of the one value t shifted
+        # by 7 (no q where nothing folds); no reduction multiplies two atoms
+        # or shifts a value spelled in bits, so this holds for integer
+        # columns of any sign
+        ts = [x for x in seen if 7 in x.shifts]
+        assert _same(w, total(*operands) - P * sum(t.shifts[7] for t in ts)), "W is not V - p*(t >> 7)"
         # range: every entry is a byte; for the unmasked top limb, (L >> 248)
         # + (t & 127), that says the lower part L is never negative and its
         # carry plus 127 stays below 256
@@ -227,10 +235,11 @@ def _reduction(top_carry):
         assert all(x.hi <= 255 for x in out), "the top limb can exceed a byte"
         assert w.hi < 2 * P, "W can reach 2p"
         assert out[-1].hi - 127 == top_carry, f"the top limb's bound is not 127 + {top_carry}"
+        assert top is None or len(ts) == 1 and _same(ts[0], top(*operands)), "t is not the top column"
     return claim
 
 
-def _subp(out, spec, a):
+def _subp(out, seen, spec, a):
     d, borrow = out
     assert _same(_value(d), _value(a) - P + borrow * 2**256), "value(d) is not a - p + 2^256 borrow"
     assert all(0 <= x.lo and x.hi <= 255 for x in d), "a limb can leave [0, 255]"
@@ -239,17 +248,22 @@ def _subp(out, spec, a):
 
 # Every generated kernel whose operands are all limbs (cmov's flag c is not,
 # so `_cmov` below runs it): its module, its operands' widths, the bound of
-# their limbs, its contract and its claim.  For byte inputs the carry into a
-# reduction's top limb is at most 39, 2, 5 and 1, so its result is below
-# 167, 130, 133 and 129 times 2^248, all below 2p.
+# their limbs, its contract and its claim.  A reduction's claim takes its
+# column total V and its top column t on the operand limbs, and for byte
+# inputs its carry into the top limb, at most 39, 2, 5 and 1, so its result
+# is below 167, 130, 133 and 129 times 2^248, all below 2p.
 KERNELS = {
     "mul16": ("_kernels.py", (16, 16), 510, None, _mul16),
     "mul256": ("_kernels.py", (32, 32), 255, lambda a, b: a * b, _product),
     "sqr256": ("_square.py", (32,), 255, lambda a: a * a, _product),
-    "red512": ("_reduce.py", (64,), 255, lambda m: m, _reduction(39)),
-    "add_mod": ("_reduce.py", (32, 32), 255, lambda a, b: a + b, _reduction(2)),
-    "sub_mod": ("_reduce.py", (32, 32), 255, lambda a, b: a - b, _reduction(5)),
-    "mul121666": ("_linear.py", (32,), 255, lambda a: 121666 * a, _reduction(1)),
+    "red512": ("_reduce.py", (64,), 255, lambda m: m,
+               _reduction(39, lambda m: _value(m[:32]) + 38 * _value(m[32:]), lambda m: m[31] + 38 * m[63])),
+    "add_mod": ("_reduce.py", (32, 32), 255, lambda a, b: a + b,
+                _reduction(2, lambda a, b: _value(a) + _value(b), lambda a, b: a[31] + b[31])),
+    "sub_mod": ("_reduce.py", (32, 32), 255, lambda a, b: a - b,
+                _reduction(5, lambda a, b: _value(a) - _value(b) + 4 * P, lambda a, b: a[31] - b[31] + 508)),
+    # t is a carry out of its own first pass, so it is not pinned
+    "mul121666": ("_linear.py", (32,), 255, lambda a: 121666 * a, _reduction(1, lambda a: 121666 * _value(a))),
     "subp": ("_linear.py", (32,), 255, None, _subp),
 }
 
@@ -366,14 +380,25 @@ def _ladderstep(text):
 
 
 def _invert(text):
-    """invert's chain is a^(p-2) in 254 S and 11 M: run it on exponents
-    e*t of one atom t, where squaring doubles e and multiplying adds, so
-    that nothing in the chain can read its argument."""
-    counts, stack, t = collections.Counter(), [], Sym.atom(0, P - 1)
-    fe = _fe(text, sqr256=_counting(counts, "S", lambda e: 2 * e, stack),
-             mul256=_counting(counts, "M", lambda e, f: e + f, stack))
+    """invert's chain is a^(p-2): run it on exponents e*t of one atom t,
+    where squaring doubles e and multiplying adds, so that nothing in the
+    chain can read its argument."""
+    t = Sym.atom(0, P - 1)
+    fe = _fe(text, sqr256=lambda e: 2 * e, mul256=lambda e, f: e + f)
     assert _same(fe["invert"](t), (P - 2) * t), "invert's exponent is not p - 2"
-    assert counts == {"S": 254, "M": 11}, f"invert makes {dict(counts)}"
+
+
+def _unpack(text):
+    """unpack(u) is u - 2^255 (u31 >> 7), u mod 2^255, in byte limbs for
+    every 32 byte limbs u.  bytes is bound to tuple once the module has
+    run, since its module level calls bytes(32)."""
+    fe = _fe(text)
+    fe["bytes"] = tuple
+    u = tuple(Sym.atom(0, 255) for _ in range(32))
+    out = fe["unpack"](u)
+    # u[31] >> 7 is the quotient atom of unpack's own mask, if it masks by 2^7 - 1
+    assert _same(_value(out), _value(u) - 2**255 * (u[31] >> 7)), "unpack is not u mod 2^255"
+    assert len(out) == 32 and all(0 <= x.lo and x.hi <= 255 for x in out), "unpack's limbs can leave [0, 255]"
 
 
 def _only(arg, result):
@@ -444,13 +469,13 @@ def _scalarmult(text):
 
 
 def _kernel(name, text):
-    out, _, operands = _run_kernel(name, text)
-    KERNELS[name][4](out, KERNELS[name][3], *operands)
+    out, seen, operands = _run_kernel(name, text)
+    KERNELS[name][4](out, seen, KERNELS[name][3], *operands)
 
 
 # Every claim, by name: its module and its proof.
 PROOFS = {**{name: (row[0], functools.partial(_kernel, name)) for name, row in KERNELS.items()},
-          "cmov": ("_linear.py", _cmov), "freeze": ("fe25519.py", _freeze),
+          "cmov": ("_linear.py", _cmov), "unpack": ("fe25519.py", _unpack), "freeze": ("fe25519.py", _freeze),
           "invert": ("fe25519.py", _invert), "ladderstep": ("ladder.py", _ladderstep),
           "cswap": ("ladder.py", _cswap), "mladder": ("ladder.py", _mladder),
           "scalarmult": ("ladder.py", _scalarmult)}

@@ -18,13 +18,6 @@ def test_setzero_setone():
     assert len(setzero()) == len(setone()) == 32
 
 
-def test_unpack_masks_top_bit():
-    assert val(unpack(le(2**255 + 5))) == 5
-    assert val(unpack(le(2**256 - 1))) == 2**255 - 1
-    # non-canonical residues below 2^255 are accepted as-is
-    assert val(unpack(le(P + 3))) == P + 3
-
-
 def test_unpack_rejects_wrong_length():
     with pytest.raises(ValueError):
         unpack(b"\x00" * 31)

@@ -117,6 +117,9 @@ def test_mul16_column_bounds_for_all_inputs():
     # cmov with a wrong complement, and a limb looked up by c
     ("cmov", [("n = 1 - c", "n = c")], "not a when c = 0, b when c = 1"),
     ("cmov", [("a5*n + b5*c", "(a5, b5)[c]")], "a table is indexed by"),
+    ("unpack", [("0x7F", "0xFF")], r"not u mod 2\^255"),  # keeps bit 255
+    # returns W - p: congruent, but not the exact fold
+    ("add_mod", [("19*(t >> 7)", "19*(t >> 7) + 19"), ("(t & 127)", "(t & 127) - 128")], "not V - p"),
 ])
 def test_proof_rejects_kernel_mutants(name, edits, reason):
     text = sources()[PROOFS[name][0]]

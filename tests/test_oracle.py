@@ -12,7 +12,7 @@ P = oracle.P
 
 def test_constants():
     assert P == 2**255 - 19
-    assert oracle.A == 4 * oracle.C121666 - 2 == 486662
+    assert oracle.A == 486662
     assert oracle.B == 1
 
 

@@ -52,11 +52,13 @@ One template writes every reduction: given 32 column expressions, it takes
 the top column t, folds its bits 7 and up into column 0 as 19 (2^255 = 19
 mod p) and carries the columns once, in the same carry display that ends
 mul256 and sqr256, with t & 127 added to the unmasked top limb.  For the
-column total V it returns W = V - p*(t >> 7), the same residue; bytes()
-raises ValueError, in every mode, when W falls outside [0, 2^256).  Columns
-may be negative or exceed a byte.  For byte inputs the carry into the top
-limb is at most 39 (red512), 2 (add_mod), 5 (sub_mod) and 1 (mul121666),
-so W < 2p and one conditional subtraction canonicalizes.
+column total V it returns exactly W = V - p*(t >> 7), the same residue, an
+identity for integer columns of any sign: tests/_proof.py proves it for each
+reduction, mul121666 for the t it computes.  bytes() raises ValueError, in
+every mode, when W falls outside [0, 2^256).  Columns may be negative or
+exceed a byte.  For byte inputs the carry into the top limb is at most 39
+(red512), 2 (add_mod), 5 (sub_mod) and 1 (mul121666), so W < 2p and one
+conditional subtraction canonicalizes.
 
   red512(m)         column k is m[k] + 38*m[k+32]: 64 columns, the high half
                     folded in as 38 (2^256 = 38 mod p).
