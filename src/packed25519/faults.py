@@ -2,20 +2,22 @@
 
 The differential harness is only trustworthy if it demonstrably catches
 bugs.  A fault replaces the named `mp_arith` function (or, for `invert`,
-the `fe25519` one), in every `packed25519.*` namespace that holds it
-(matched by identity, as perfbench's tracer installs its wrappers), with a
-copy that flips the low bit of limb 0 of its result; the `subp` copy flips
-the difference and keeps the borrow.
+the `fe25519` one), in every loaded `packed25519.*` namespace that holds
+it (matched by identity, as perfbench's tracer installs its wrappers), with
+a copy that flips the low bit of limb 0 of its result; the `subp` copy
+flips the difference and keeps the borrow.
 No kernel holds a hook.  Bindings made outside the package are not rebound.
 
-Faults are off unless names are listed in the PACKED25519_FAULTS
-environment variable (comma-separated), applied once when the package
-imports this module, or enabled temporarily through `inject` in tests.
+`import packed25519` does not load this module.  Faults are off unless
+enabled through `inject`, for the duration of a with-block:
+
+    from packed25519 import faults
+    with faults.inject("mul256"):
+        ...
 
 Never enable these outside of harness self-checks.
 """
 
-import os
 import sys
 from contextlib import contextmanager
 from typing import Callable, FrozenSet, Iterable, Iterator, List, Tuple
@@ -24,18 +26,6 @@ from . import fe25519, mp_arith
 
 KNOWN = frozenset({"add_mod", "cmov", "invert", "mul121666", "mul256", "red512", "sqr256",
                    "sub_mod", "subp"})
-
-
-def _from_env() -> FrozenSet[str]:
-    raw = os.environ.get("PACKED25519_FAULTS", "")
-    names = frozenset(n.strip() for n in raw.split(",") if n.strip())
-    unknown = names - KNOWN
-    if unknown:
-        raise ValueError(
-            f"unknown fault name(s) in PACKED25519_FAULTS: {sorted(unknown)}; "
-            f"known: {sorted(KNOWN)}"
-        )
-    return names
 
 
 def _flip(limbs: bytes) -> bytes:
@@ -68,8 +58,7 @@ def _rebind(names: Iterable[str]) -> List[Tuple[object, str, Callable]]:
     return undo
 
 
-ACTIVE: FrozenSet[str] = _from_env()
-_rebind(ACTIVE)
+ACTIVE: FrozenSet[str] = frozenset()
 
 
 @contextmanager

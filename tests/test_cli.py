@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -115,16 +114,6 @@ def test_selftest_detects_injected_fault(capsys):
     assert code == 1
     assert "FAIL" in out
     assert "counterexample" in out
-
-
-def test_faulty_build_via_environment_exits_1(tmp_path):
-    env = dict(os.environ, PACKED25519_FAULTS="red512")
-    proc = subprocess.run(
-        [sys.executable, "-m", "packed25519", "selftest",
-         "--trials", "1", "--suites", "findings"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 1
-    assert "FAIL" in proc.stdout
 
 
 def test_optimized_mode_gives_the_same_outputs(tmp_path):

@@ -158,10 +158,6 @@ def test_faults_reject_unknown_names():
             pass
 
 
-def test_faults_are_off_by_default():
-    assert not faults.ACTIVE
-
-
 def test_kernels_are_re_exported_without_a_wrapper():
     assert fe25519.mul256 is mp_arith.mul256 is _kernels.mul256
     assert fe25519.sqr256 is mp_arith.sqr256 is _square.sqr256
@@ -213,11 +209,18 @@ def test_nested_inject_keeps_the_fault():
     assert report.suites["findings"].failures > 0
 
 
-def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter: pytest itself has loaded both modules here
+def test_importing_the_package_loads_only_the_arithmetic():
+    # a fresh interpreter, since pytest has loaded all of these here; the
+    # fault variable is set to show that no environment switches a fault on
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, packed25519; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    lazy = {"dataclasses", "inspect", "hashlib", "_hashlib", "json", "packed25519.difftest",
+            "packed25519._field_suites", "packed25519.oracle", "packed25519.faults",
+            "packed25519.cli"}
+    s, u, want = difftest.RFC7748_VECTORS[0]
+    code = (f"import sys, packed25519; print(sorted({lazy!r} & set(sys.modules)))\n"
+            f"print(packed25519.scalarmult(bytes.fromhex({s!r}), bytes.fromhex({u!r})).hex())\n"
+            "from packed25519 import faults; print(faults.ACTIVE == frozenset())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)))
+                          env=dict(os.environ, PYTHONPATH=str(src), PACKED25519_FAULTS="mul256"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines() == ["[]", want, "True"]
