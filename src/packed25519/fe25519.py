@@ -28,11 +28,6 @@ def setone() -> FieldElem:
     return _ONE
 
 
-def neg(a: FieldElem) -> FieldElem:
-    """Additive inverse, as 0 - a."""
-    return sub(_ZERO, a)
-
-
 def mul(a: FieldElem, b: FieldElem) -> FieldElem:
     return red512(mul256(a, b))
 

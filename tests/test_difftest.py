@@ -121,6 +121,28 @@ def test_broken_kernel_is_caught(fault, suites):
         assert res.counterexample is not None
 
 
+def test_a_unary_counterexample_names_only_its_operand():
+    with faults.inject("mul121666"):
+        res = run_suite(TrialConfig(trials=1, suites=("fe",))).suites["fe"]
+    assert res.counterexample.startswith("edge mul121666 a=")
+    assert " b=" not in res.counterexample
+
+
+@pytest.mark.parametrize("module, name, suite", [
+    (mp_arith, "sqr256", "mp"),
+    (fe25519, "mul121666", "fe"),
+], ids=["sqr256", "mul121666"])
+def test_edges_check_each_value_once(monkeypatch, module, name, suite):
+    # a unary kernel runs once per edge value and once in the one trial,
+    # not once for every pair of edge values
+    calls = []
+    kernel = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda a: calls.append(a) or kernel(a))
+    report = run_suite(TrialConfig(trials=1, suites=(suite,)))
+    assert report.ok
+    assert len(calls) == len(EDGES_256) + 1
+
+
 def test_an_exception_in_a_suite_is_a_failed_check(monkeypatch):
     # a red512 that hands the generated one a column no byte input gives, so
     # that the kernel's own overflow check, bytes()'s range check, fires
