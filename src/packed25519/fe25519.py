@@ -2,11 +2,11 @@
 
 A field element is 32 little-endian byte limbs.  Elements are kept only
 *partially* reduced — every operation returns a representative below 2p —
-and are canonicalized exactly once, at pack time, by `freeze`.  Because the
+and are canonicalized exactly once, before pack, by `freeze`.  Because the
 representative bound is 2p, freeze needs a single conditional subtraction
 of p: one subp plus one selection, no loop.
 
-Selection (`cmov`) is a*(1 - c) + b*c; nothing here branches on data.
+Selection (`cmov`) is a*(1 - c) + b*c; nothing branches on data or asserts.
 """
 
 # add, sub, mul121666 and cmov are the mp_arith kernels themselves, with no
@@ -59,9 +59,9 @@ def unpack(raw: bytes) -> FieldElem:
 
 
 def pack(a: FieldElem) -> bytes:
-    """32-byte string of a canonical element; callers freeze first."""
-    assert subp(a)[1] == 1, "pack requires a frozen (canonical) element"
-    return bytes(a)
+    """32-byte string of a canonical element; callers freeze first.  For
+    a >= p subp's borrow is 0, the top limb gains 256 and bytes() raises."""
+    return a[:31] + bytes((a[31] + 256 * (1 - subp(a)[1]),))
 
 
 def invert(a: FieldElem) -> FieldElem:

@@ -35,13 +35,13 @@ def sources():
     return texts
 
 
-def _run(text, name, /, optimize=-1, **stand_ins):
+def _run(text, name, /, **stand_ins):
     """Execute the module source `text` in a namespace of `stand_ins`,
     which also answer its relative imports; return the namespace."""
     def import_(*args):  # name, globals, locals, fromlist, level
         return types.SimpleNamespace(**stand_ins) if args[4] else __import__(*args)
     namespace = {**stand_ins, "__builtins__": {**vars(builtins), "__import__": import_}}
-    exec(compile(text, name, "exec", optimize=optimize), namespace)
+    exec(compile(text, name, "exec"), namespace)
     return namespace
 
 
@@ -426,6 +426,26 @@ def _freeze(text):
             assert 0 <= out.lo and out.hi < P, "freeze's result can reach p"
 
 
+def _pack(text):
+    """pack(a) is a's 32 limbs for every a < p and raises for every a >= p.
+    subp's proved contract makes its borrow 1 exactly when a < p: split on
+    it, with bytes bound to tuple once the module has run, as in `_unpack`,
+    so that a borrow of 0 returns a top limb of at least 256, which bytes()
+    rejects.  A first run takes the borrow as a bit atom, so that nothing
+    can branch on it."""
+    a = tuple(Sym.atom(0, 255) for _ in range(32))
+
+    def pack(borrow):
+        fe = _fe(text, subp=_only(a, (None, borrow)))
+        fe["bytes"] = tuple
+        return fe["pack"](a)
+
+    pack(Sym.atom(0, 1))
+    out = pack(1)
+    assert len(out) == 32 and all(map(_same, out, a)), "pack(a) is not a's limbs for a < p"
+    assert Sym.lift(pack(0)[-1]).lo >= 256, "pack(a) has a byte top limb for an a >= p"
+
+
 class _Secret(bytes):
     """32 bytes that raise when a branch, comparison, table or loop reads
     them: only their type and length are public."""
@@ -476,6 +496,7 @@ def _kernel(name, text):
 # Every claim, by name: its module and its proof.
 PROOFS = {**{name: (row[0], functools.partial(_kernel, name)) for name, row in KERNELS.items()},
           "cmov": ("_linear.py", _cmov), "unpack": ("fe25519.py", _unpack), "freeze": ("fe25519.py", _freeze),
+          "pack": ("fe25519.py", _pack),
           "invert": ("fe25519.py", _invert), "ladderstep": ("ladder.py", _ladderstep),
           "cswap": ("ladder.py", _cswap), "mladder": ("ladder.py", _mladder),
           "scalarmult": ("ladder.py", _scalarmult)}

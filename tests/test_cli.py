@@ -117,20 +117,25 @@ def test_selftest_detects_injected_fault(capsys):
 
 
 def test_optimized_mode_gives_the_same_outputs(tmp_path):
-    """python -O runs the same code: selftest's report, the RFC 7748 vectors
-    and iterate 1 equal the default mode's, apart from timings."""
-    def outputs(*flags):
-        path = tmp_path / f"report{len(flags)}.json"
-        script = "from packed25519.cli import main\n" + "".join(
-            f"main({argv!r})\n" for argv in [
-                ["selftest", "--seed", "1", "--trials", "3", "--json", str(path)],
-                *(["scalarmult", s, u] for s, u, _ in RFC7748_VECTORS), ["iterate", "1"]])
-        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+    """python -O runs the same code: selftest's report, with no fault and
+    under the cmov fault, the RFC 7748 vectors and iterate 1 equal the
+    default mode's, apart from timings."""
+    def untimed(path):
         report = json.loads(path.read_text())
         del report["elapsed_s"]
         for res in report["suites"].values():
             del res["elapsed_s"], res["checks_per_s"]
-        return report, proc.stdout.splitlines()[-len(RFC7748_VECTORS) - 1:]
+        return report
+
+    def outputs(*flags):
+        paths = [tmp_path / f"report{len(flags)}{fault}.json" for fault in ("", "cmov")]
+        clean, cmov = (["selftest", "--seed", "1", "--trials", "3", "--json", str(path)] for path in paths)
+        script = (f"from packed25519 import faults\nfrom packed25519.cli import main\nmain({clean!r})\n"
+                  f"with faults.inject('cmov'):\n    main({cmov!r})\n") + "".join(
+            f"main({argv!r})\n" for argv in [
+                *(["scalarmult", s, u] for s, u, _ in RFC7748_VECTORS), ["iterate", "1"]])
+        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return [*map(untimed, paths)], proc.stdout.splitlines()[-len(RFC7748_VECTORS) - 1:]
 
     assert outputs("-O") == outputs()

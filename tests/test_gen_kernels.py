@@ -62,6 +62,15 @@ def test_every_package_module_is_within_the_compile_budget(path):
     assert peak <= COMPILE_PEAK_BUDGET, f"{path.name} peaks at {peak / 1024:.0f} KB in compile"
 
 
+def test_no_package_module_asserts_or_reads_debug():
+    """python -O compiles the same code as the default mode: it drops only
+    asserts and the branches on __debug__."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = [f"line {n.lineno}" for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Assert) or isinstance(n, ast.Name) and n.id == "__debug__"]
+        assert found == [], f"{path.name} asserts or reads __debug__ at {found}"
+
+
 def test_a_shift_is_exact_only_on_distinct_bit_places():
     b, c = Sym.atom(0, 1), Sym.atom(0, 1)
     # two bits at one place, a constant on a bit's place, an atom that is not a bit
@@ -120,6 +129,11 @@ def test_mul16_column_bounds_for_all_inputs():
     ("unpack", [("0x7F", "0xFF")], r"not u mod 2\^255"),  # keeps bit 255
     # returns W - p: congruent, but not the exact fold
     ("add_mod", [("19*(t >> 7)", "19*(t >> 7) + 19"), ("(t & 127)", "(t & 127) - 128")], "not V - p"),
+    # pack's check as an assert, which a comparison guard sees and python -O drops
+    ("pack", [("return a[:31] + bytes((a[31] + 256 * (1 - subp(a)[1]),))",
+               "assert subp(a)[1] == 1, 'pack requires a frozen (canonical) element'\n    return bytes(a)")],
+     "a comparison reads"),
+    ("pack", [("256 * (1 - subp(a)[1])", "256 * subp(a)[1]")], "not a's limbs"),  # the borrow's sense reversed
 ])
 def test_proof_rejects_kernel_mutants(name, edits, reason):
     text = sources()[PROOFS[name][0]]

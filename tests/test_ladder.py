@@ -98,11 +98,6 @@ def test_scalarmult_base_point_constant():
     assert BASE_POINT_U.hex() == "09" + "00" * 31
 
 
-def test_scalarmult_masks_u_top_bit():
-    s = le(0x1234)
-    assert scalarmult(s, le(2**255 + 100)) == scalarmult(s, le(100))
-
-
 def test_scalarmult_accepts_non_canonical_u():
     # u in [p, 2^255) denotes u - p
     s = le(0xABCDEF)

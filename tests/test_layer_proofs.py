@@ -25,11 +25,10 @@ class _Opaque(bytes):
         raise TypeError("control flow depends on field data")
 
 
-@pytest.mark.parametrize("optimize", [0, 1])
-def test_one_scalarmult_makes_the_ledgers_calls(optimize):
-    """Count one scalarmult's calls, compiled as under python -O or not, on
-    kernels that return a zero whose __bool__ raises.  subp's borrow is 1, as
-    for every frozen value (the freeze proof); only pack's assert reads it."""
+def test_one_scalarmult_makes_the_ledgers_calls():
+    """Count one scalarmult's calls on kernels that return a zero whose
+    __bool__ raises.  subp's borrow is 1, as for every frozen value (the
+    freeze proof)."""
     counts, stack, zero = collections.Counter(), [], _Opaque(32)
 
     def counted(layer, namespace):
@@ -38,7 +37,7 @@ def test_one_scalarmult_makes_the_ledgers_calls(optimize):
 
     kernels = dict.fromkeys(TRACED["mp_arith"] + ("mul121666", "cmov"), lambda *args: zero)
     kernels = counted("mp_arith", {**kernels, "subp": lambda a: (zero, 1)})
-    fe = counted("fe25519", _run(sources()["fe25519.py"], "fe25519.py", optimize, **kernels))
-    ladder = _run(sources()["ladder.py"], "ladder.py", optimize, **fe, fe25519=types.SimpleNamespace(**fe))
+    fe = counted("fe25519", _run(sources()["fe25519.py"], "fe25519.py", **kernels))
+    ladder = _run(sources()["ladder.py"], "ladder.py", **fe, fe25519=types.SimpleNamespace(**fe))
     counted("ladder", ladder)["scalarmult"](zero, zero)
-    assert {name: counts[name] for name in dh_ledger(optimize)} == dh_ledger(optimize)
+    assert {name: counts[name] for name in dh_ledger(0)} == dh_ledger(0)
