@@ -37,6 +37,12 @@ def test_committed_kernels_match_generator_byte_for_byte():
 # whose __bool__, __eq__, __hash__ and __index__ raise.
 BRANCHES = (ast.Assert, ast.If, ast.IfExp, ast.While, ast.For, ast.BoolOp, ast.Try)
 
+# The most entries a display in generated code may have.  CPython 3.11 builds a
+# tuple or list display of up to 30 entries on the stack, but a longer one
+# through a list, one LIST_APPEND per entry: 61 more instructions in each
+# 64-limb carry pass.  Unpack targets are not displays and may be longer.
+MAX_DISPLAY = 30
+
 
 def _compile_peak(text, name):
     """tracemalloc's peak, in bytes, while a fresh interpreter compiles text:
@@ -54,6 +60,9 @@ def test_every_generated_module_is_straight_line_and_within_the_parse_budget():
         assert len(nodes) <= PARSE_BUDGET, f"{path.name} has {len(nodes)} nodes"
         branches = [f"{type(n).__name__} at line {n.lineno}" for n in nodes if isinstance(n, BRANCHES)]
         assert branches == [], f"{path.name} branches: {branches}"
+        long = [f"{len(n.elts)} entries at line {n.lineno}" for n in nodes
+                if isinstance(n, (ast.Tuple, ast.List)) and isinstance(n.ctx, ast.Load) and len(n.elts) > MAX_DISPLAY]
+        assert long == [], f"{path.name} builds displays through a list: {long}"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

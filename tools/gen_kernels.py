@@ -11,9 +11,14 @@ Every kernel of mp_arith is written here, spelled out without loops so that
 CPython runs it as a few bytecodes and nothing else.  mp_arith re-exports
 each one under its own name with no wrapper frame, so each carries a
 one-line docstring and its fixed-width unpack is the length check: a wrong
-length raises ValueError in every mode.  A carry display is one `bytes`
-display of `(c := (c >> 8) + col) & 255` entries, a carry pass over the
-columns col from the bottom up.  Four modules are written.
+length raises ValueError in every mode.  A carry display is the bytes() of
+the entries `(c := (c >> 8) + col) & 255`, a carry pass over the columns col
+from the bottom up.  Every display of more than MAX_DISPLAY = 30 entries is
+written as tuples of at most 30 entries joined by `+`, the same entries in
+the same order: CPython 3.11 compiles a display of up to 30 entries to one
+BUILD_TUPLE on the stack, but a longer one to BUILD_LIST, one LIST_APPEND
+per entry and LIST_TO_TUPLE.  The walrus carry still runs left to right
+across the joins.  Four modules are written.
 
 _kernels.py, product scanning with one additive Karatsuba level in each of
 its two functions:
@@ -109,6 +114,7 @@ LIMBS = 2 * N  # limbs of a field element
 P = 2**255 - 19
 P_LIMBS = P.to_bytes(LIMBS, "little")
 FOURP = tuple(4 * x for x in P_LIMBS)  # 4p as 32 columns, for sub_mod
+MAX_DISPLAY = 30  # entries CPython 3.11 builds on the stack, not through a list
 
 Col = Callable[[int], str]
 
@@ -158,15 +164,27 @@ def _karatsuba(n: int, lo: Col, mid: Col, hi: Col) -> List[str]:
     return cols
 
 
+def _display(entries: List[str]) -> List[str]:
+    """The lines inside `(` and `)` of one display of the entries: tuples of
+    at most MAX_DISPLAY entries, joined by `) + (`."""
+    lines = []
+    for i in range(0, len(entries), MAX_DISPLAY):
+        if i:
+            lines.append("    ) + (")
+        lines += [f"        {e}," for e in entries[i:i + MAX_DISPLAY]]
+    return lines
+
+
 def _carry(cols: List[str]) -> List[str]:
     """The entries of one carry pass over the columns, each masked to a byte."""
-    return [f"        (c := {col if k == 0 else f'(c >> 8) + {col}'}) & 255," for k, col in enumerate(cols)]
+    return [f"(c := {col if k == 0 else f'(c >> 8) + {col}'}) & 255" for k, col in enumerate(cols)]
 
 
 def _carry_bytes(cols: List[str], last: str) -> List[str]:
-    """The `return` of one carry pass over the columns, as one bytes display;
-    the top limb `last` is unmasked, so bytes() rejects it outside [0, 256)."""
-    return ["    return bytes(("] + _carry(cols) + [f"        {last},", "    ))"]
+    """The `return` of one carry pass over the columns, as the bytes() of one
+    display; the top limb `last` is unmasked, so bytes() rejects it outside
+    [0, 256)."""
+    return ["    return bytes(("] + _display(_carry(cols) + [last]) + ["    ))"]
 
 
 def _mul16() -> List[str]:
@@ -177,11 +195,8 @@ def _mul16() -> List[str]:
     lines += [f"    v{i} = b{i} + b{i + H}" for i in range(H)]
     lines += [f"    l{k} = {_mul_col('a', 'b', k, H)}" for k in range(2 * H - 1)]
     lines += [f"    h{k} = {_mul_col('a', 'b', k, H, H)}" for k in range(2 * H - 1)]
-    lines.append("    return (")
     cols = _karatsuba(H, lambda j: f"l{j}", lambda j: _mul_col("u", "v", j, H), lambda j: f"h{j}")
-    lines += [f"        {col}," for col in cols]
-    lines.append("    )")
-    return lines
+    return lines + ["    return ("] + _display(cols) + ["    )"]
 
 
 def _mul256() -> List[str]:
@@ -228,14 +243,14 @@ def _mul121666() -> List[str]:
 
 def _subp() -> List[str]:
     return (_head("subp(a)", "(a - p) mod 2^256 together with the borrow flag (1 iff a < p).", "a")
-            + ["    return bytes(("] + _carry([f"a{k} - {P_LIMBS[k]}" for k in range(LIMBS)])
+            + ["    return bytes(("] + _display(_carry([f"a{k} - {P_LIMBS[k]}" for k in range(LIMBS)]))
             + ["    )), -(c >> 8)"])
 
 
 def _cmov() -> List[str]:
     return (_head("cmov(a, b, c)", "a when c = 0, b when c = 1, as a*(1 - c) + b*c (no branch on c).", "ab")
             + ["    n = 1 - c", "    return bytes(("]
-            + [f"        a{k}*n + b{k}*c," for k in range(LIMBS)] + ["    ))"])
+            + _display([f"a{k}*n + b{k}*c" for k in range(LIMBS)]) + ["    ))"])
 
 
 def _module(title: str, blocks: List[List[str]]) -> str:
