@@ -10,6 +10,8 @@ layer's checks, and sets `t.at`, the tag a message starts with.  Unary checks
 run once per edge value, and pair checks on every pair.
 """
 
+from typing import Sequence
+
 from . import fe25519, mp_arith, oracle
 
 P = oracle.P
@@ -32,15 +34,20 @@ def _le(v: int, n: int = 32) -> bytes:
     return v.to_bytes(n, "little")
 
 
-def _int(b: bytes) -> int:
-    return int.from_bytes(b, "little")
+def _int(limbs: Sequence[int]) -> int:
+    return int.from_bytes(limbs, "little")
 
 
-def _cong(t, name: str, got: bytes, want: int, **operands: bytes) -> bytes:
+def _hex(limbs: Sequence[int]) -> str:
+    """Limbs as a counterexample prints them, whatever their container."""
+    return bytes(limbs).hex()
+
+
+def _cong(t, name: str, got: Sequence[int], want: int, **operands: bytes) -> Sequence[int]:
     g = _int(got)
     t.check(g % P == want % P and g < TWO_P,
-            lambda: f"{t.at} {name} {' '.join(f'{k}={v.hex()}' for k, v in operands.items())} "
-                    f"got={got.hex()}")
+            lambda: f"{t.at} {name} {' '.join(f'{k}={_hex(v)}' for k, v in operands.items())} "
+                    f"got={_hex(got)}")
     return got
 
 
@@ -50,7 +57,7 @@ def _check_mp_pair(t, a: bytes, b: bytes) -> None:
     ia, ib = _int(a), _int(b)
     got = mp_arith.mul256(a, b)
     t.check(_int(got) == ia * ib,
-            lambda: f"{t.at} mul256 a={a.hex()} b={b.hex()} got={got.hex()}")
+            lambda: f"{t.at} mul256 a={_hex(a)} b={_hex(b)} got={_hex(got)}")
     _cong(t, "add_mod", mp_arith.add_mod(a, b), ia + ib, a=a, b=b)
     _cong(t, "sub_mod", mp_arith.sub_mod(a, b), ia - ib, a=a, b=b)
 
@@ -59,10 +66,10 @@ def _check_mp_unary(t, a: bytes, m: bytes) -> None:
     ia = _int(a)
     gsq = mp_arith.sqr256(a)
     t.check(_int(gsq) == ia * ia and gsq == mp_arith.mul256(a, a),
-            lambda: f"{t.at} sqr256 a={a.hex()} got={gsq.hex()}")
+            lambda: f"{t.at} sqr256 a={_hex(a)} got={_hex(gsq)}")
     d, borrow = mp_arith.subp(a)
     t.check(_int(d) == (ia - P) % 2**256 and borrow == (1 if ia < P else 0),
-            lambda: f"{t.at} subp a={a.hex()} got={d.hex()} borrow={borrow}")
+            lambda: f"{t.at} subp a={_hex(a)} got={_hex(d)} borrow={borrow}")
     _cong(t, "red512", mp_arith.red512(m), _int(m), m=m)
 
 
@@ -88,13 +95,13 @@ def _check_fe_pair(t, a: bytes, b: bytes) -> None:
     r = _cong(t, "mul", fe25519.mul(a, b), ia * ib, a=a, b=b)
     f = fe25519.freeze(r)
     t.check(_int(f) == _int(r) % P,
-            lambda: f"{t.at} freeze r={r.hex()} got={f.hex()}")
+            lambda: f"{t.at} freeze r={_hex(r)} got={_hex(f)}")
     t.check(fe25519.freeze(f) == f,
-            lambda: f"{t.at} freeze not idempotent f={f.hex()}")
-    t.check(fe25519.cmov(a, b, 0) == a and fe25519.cmov(a, b, 1) == b,
-            lambda: f"{t.at} cmov a={a.hex()} b={b.hex()}")
+            lambda: f"{t.at} freeze not idempotent f={_hex(f)}")
+    t.check(_int(fe25519.cmov(a, b, 0)) == ia and _int(fe25519.cmov(a, b, 1)) == ib,
+            lambda: f"{t.at} cmov a={_hex(a)} b={_hex(b)}")
     t.check(fe25519.unpack(fe25519.pack(f)) == f,
-            lambda: f"{t.at} pack/unpack roundtrip f={f.hex()}")
+            lambda: f"{t.at} pack/unpack roundtrip f={_hex(f)}")
 
 
 def _check_fe_unary(t, a: bytes) -> None:
@@ -111,7 +118,7 @@ def fe_edges(t) -> None:
     t.check(fe25519.invert(zero) == zero, lambda: "invert(0) != 0")
     inv2 = fe25519.freeze(fe25519.invert(_le(2)))
     t.check(_int(inv2) == 2**254 - 9,
-            lambda: f"invert(2) got={inv2.hex()}")
+            lambda: f"invert(2) got={_hex(inv2)}")
     t.check(fe25519.freeze(one) == one, lambda: "freeze(1) != 1")
 
 
@@ -126,7 +133,7 @@ def fe_trial(t, st, k: int) -> None:
         x = fe25519.freeze(a) if _int(a) % P else one
         prod = fe25519.freeze(fe25519.mul(x, fe25519.invert(x)))
         t.check(prod == one,
-                lambda: f"{t.at} invert x={x.hex()} x*inv(x)={prod.hex()}")
+                lambda: f"{t.at} invert x={_hex(x)} x*inv(x)={_hex(prod)}")
 
 
 # ----------------------------------------------------------- findings suite
@@ -135,7 +142,7 @@ def _check_finding(t, m: bytes) -> None:
     r = _cong(t, "red512", mp_arith.red512(m), _int(m), m=m)
     f = fe25519.freeze(r)
     t.check(_int(f) == _int(r) % P,
-            lambda: f"{t.at} single-subtraction freeze r={r.hex()} got={f.hex()}")
+            lambda: f"{t.at} single-subtraction freeze r={_hex(r)} got={_hex(f)}")
 
 
 def findings_edges(t) -> None:

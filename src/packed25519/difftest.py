@@ -34,7 +34,7 @@ import time
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from . import _field_suites, fe25519, ladder, mp_arith, oracle
-from ._field_suites import EDGES_256, EDGES_512, P, TWO_P, _int, _le  # edges re-exported for callers
+from ._field_suites import EDGES_256, EDGES_512, P, TWO_P, _hex, _int, _le  # edges re-exported for callers
 
 # RFC 7748 section 5.2 test vectors (scalar, u, expected output), little-endian hex.
 RFC7748_VECTORS = (
@@ -59,9 +59,9 @@ def _check_ladderstep(t, xp: bytes, r0: Tuple[bytes, bytes], r1: Tuple[bytes, by
           and _int(gx2) % P == o1.x % P and _int(gz2) % P == o1.z % P)
     below = all(_int(v) < TWO_P for v in (gx1, gz1, gx2, gz2))
     t.check(ok and below,
-            lambda: f"{t.at} ladderstep xp={xp.hex()} r0=({r0[0].hex()},{r0[1].hex()}) "
-                    f"r1=({r1[0].hex()},{r1[1].hex()}) got=(({gx1.hex()},{gz1.hex()}),"
-                    f"({gx2.hex()},{gz2.hex()}))")
+            lambda: f"{t.at} ladderstep xp={_hex(xp)} r0=({_hex(r0[0])},{_hex(r0[1])}) "
+                    f"r1=({_hex(r1[0])},{_hex(r1[1])}) got=(({_hex(gx1)},{_hex(gz1)}),"
+                    f"({_hex(gx2)},{_hex(gz2)}))")
 
 
 _WORKED_LADDERSTEPS = (
@@ -103,7 +103,7 @@ def _check_mladder(t, n: int, xp_int: int) -> None:
     ok = (_int(X) % P == want.x % P and _int(Z) % P == want.z % P
           and _int(X) < TWO_P and _int(Z) < TWO_P)
     t.check(ok, lambda: f"{t.at} mladder n={n:#x} xp={xp_int:#x} "
-                        f"got=({X.hex()},{Z.hex()}) want=({want.x:#x},{want.z:#x})")
+                        f"got=({_hex(X)},{_hex(Z)}) want=({want.x:#x},{want.z:#x})")
 
 
 def mladder_edges(t) -> None:

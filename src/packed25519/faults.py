@@ -20,7 +20,7 @@ Never enable these outside of harness self-checks.
 
 import sys
 from contextlib import contextmanager
-from typing import Callable, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from . import fe25519, mp_arith
 
@@ -28,8 +28,8 @@ KNOWN = frozenset({"add_mod", "cmov", "invert", "mul121666", "mul256", "red512",
                    "sub_mod", "subp"})
 
 
-def _flip(limbs: bytes) -> bytes:
-    return bytes((limbs[0] ^ 1,)) + limbs[1:]
+def _flip(limbs: Sequence[int]) -> Tuple[int, ...]:
+    return (limbs[0] ^ 1,) + tuple(limbs[1:])
 
 
 def _faulty(name: str, fn: Callable) -> Callable:

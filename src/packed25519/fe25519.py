@@ -1,10 +1,11 @@
 """Field arithmetic mod 2^255 - 19 on packed 32-limb elements.
 
-A field element is 32 little-endian byte limbs.  Elements are kept only
-*partially* reduced — every operation returns a representative below 2p —
-and are canonicalized exactly once, before pack, by `freeze`.  Because the
-representative bound is 2p, freeze needs a single conditional subtraction
-of p: one subp plus one selection, no loop.
+A field element is a tuple of 32 little-endian byte limbs, the kernels'
+own container: bytes appear only in unpack's argument and pack's result.
+Elements are kept only *partially* reduced — every operation returns a
+representative below 2p — and are canonicalized exactly once, before pack,
+by `freeze`.  Because the representative bound is 2p, freeze needs a
+single conditional subtraction of p: one subp plus one selection, no loop.
 
 Selection (`cmov`) is a*(1 - c) + b*c; nothing branches on data or asserts.
 """
@@ -14,10 +15,10 @@ Selection (`cmov`) is a*(1 - c) + b*c; nothing branches on data or asserts.
 from .mp_arith import cmov, mul121666, mul256, red512, sqr256, subp
 from .mp_arith import add_mod as add, sub_mod as sub
 
-FieldElem = bytes
+FieldElem = tuple
 
-_ZERO = bytes(32)
-_ONE = (1).to_bytes(32, "little")
+_ZERO = (0,) * 32
+_ONE = (1,) + (0,) * 31
 
 
 def setzero() -> FieldElem:
@@ -55,13 +56,14 @@ def unpack(raw: bytes) -> FieldElem:
     """
     if len(raw) != 32:
         raise ValueError(f"unpack expects 32 bytes, got {len(raw)}")
-    return raw[:31] + bytes((raw[31] & 0x7F,))
+    return tuple(raw[:31]) + (raw[31] & 0x7F,)
 
 
 def pack(a: FieldElem) -> bytes:
-    """32-byte string of a canonical element; callers freeze first.  For
-    a >= p subp's borrow is 0, the top limb gains 256 and bytes() raises."""
-    return a[:31] + bytes((a[31] + 256 * (1 - subp(a)[1]),))
+    """32-byte string of a canonical element; callers freeze first.  bytes()
+    checks all 32 limbs; for a >= p subp's borrow is 0, the top limb gains
+    256 and bytes() raises."""
+    return bytes(a[:31] + (a[31] + 256 * (1 - subp(a)[1]),))
 
 
 def invert(a: FieldElem) -> FieldElem:

@@ -1,7 +1,8 @@
 """Proofs for all inputs: `_run` executes a module's source text among
 stand-ins, which also answer its relative imports, so no packed25519 module
-attribute is rebound.  A generated kernel runs on `Sym` values with `bytes`
-bound to `tuple`; fe25519.py and ladder.py run with each kernel replaced by
+attribute is rebound.  A generated kernel runs on `Sym` values, a reduction
+with `bytes` bound to `tuple` for its top-limb check; fe25519.py and
+ladder.py run with each kernel replaced by
 its proved contract (mul256 is a*b, red512 keeps its value mod p, ...),
 mladder runs on a `Sym` scalar spelled in bit atoms, and scalarmult on
 bytes that raise when a branch or lookup reads them."""
@@ -266,14 +267,16 @@ KERNELS = {
     "mul121666": ("_linear.py", (32,), 255, lambda a: 121666 * a, _reduction(1, lambda a: 121666 * _value(a))),
     "subp": ("_linear.py", (32,), 255, None, _subp),
 }
+# The kernels whose top limb passes through bytes(), the run-time range check.
+REDUCTIONS = ("red512", "add_mod", "sub_mod", "mul121666")
 
 
 def _run_kernel(name, text):
-    """Run the kernel `name` of the module source `text` on atoms, with
-    bytes() bound to tuple so that its entries come back unchecked; return
-    its result, every value it built and its operands."""
+    """Run the kernel `name` of the module source `text` on atoms, a
+    reduction with bytes() bound to tuple so that its top limb comes back
+    unchecked; return its result, every value it built and its operands."""
     module, widths, bound, _, _ = KERNELS[name]
-    kernel = _run(text, module, bytes=tuple)[name]
+    kernel = _run(text, module, **({"bytes": tuple} if name in REDUCTIONS else {}))[name]
     Sym.log = seen = []
     try:
         operands = [[Sym.atom(0, bound) for _ in range(n)] for n in widths]
@@ -294,7 +297,7 @@ def _cmov(text):
     """cmov(a, b, c) is exactly a when c = 0 and b when c = 1, and is
     `_select`'s polynomial when c is a bit atom, so that nothing in it can
     branch on or look up c."""
-    cmov = _run(text, "_linear.py", bytes=tuple)["cmov"]
+    cmov = _run(text, "_linear.py")["cmov"]
     a, b = ([Sym.atom(0, 255) for _ in range(32)] for _ in "ab")
     bit = Sym.atom(0, 1)
     for c, want in ((0, a), (1, b), (bit, [_select(x, y, bit) for x, y in zip(a, b)])):
@@ -390,10 +393,8 @@ def _invert(text):
 
 def _unpack(text):
     """unpack(u) is u - 2^255 (u31 >> 7), u mod 2^255, in byte limbs for
-    every 32 byte limbs u.  bytes is bound to tuple once the module has
-    run, since its module level calls bytes(32)."""
+    every 32 byte limbs u."""
     fe = _fe(text)
-    fe["bytes"] = tuple
     u = tuple(Sym.atom(0, 255) for _ in range(32))
     out = fe["unpack"](u)
     # u[31] >> 7 is the quotient atom of unpack's own mask, if it masks by 2^7 - 1
@@ -429,16 +430,13 @@ def _freeze(text):
 def _pack(text):
     """pack(a) is a's 32 limbs for every a < p and raises for every a >= p.
     subp's proved contract makes its borrow 1 exactly when a < p: split on
-    it, with bytes bound to tuple once the module has run, as in `_unpack`,
-    so that a borrow of 0 returns a top limb of at least 256, which bytes()
-    rejects.  A first run takes the borrow as a bit atom, so that nothing
-    can branch on it."""
+    it, with bytes bound to tuple, so that a borrow of 0 returns a top limb
+    of at least 256, which bytes() rejects.  A first run takes the borrow as
+    a bit atom, so that nothing can branch on it."""
     a = tuple(Sym.atom(0, 255) for _ in range(32))
 
     def pack(borrow):
-        fe = _fe(text, subp=_only(a, (None, borrow)))
-        fe["bytes"] = tuple
-        return fe["pack"](a)
+        return _fe(text, subp=_only(a, (None, borrow)), bytes=tuple)["pack"](a)
 
     pack(Sym.atom(0, 1))
     out = pack(1)

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from _proof import PACKAGE, PROOFS, Sym, _run_kernel, _same, prove, render, sources
+from _proof import PACKAGE, PROOFS, REDUCTIONS, Sym, _run_kernel, _same, prove, render, sources
 
 # Syntax-tree nodes of the largest generated module before mul16 gained its
 # inner Karatsuba level, and its compile peak by tracemalloc.  The parser's
@@ -63,6 +63,28 @@ def test_every_generated_module_is_straight_line_and_within_the_parse_budget():
         long = [f"{len(n.elts)} entries at line {n.lineno}" for n in nodes
                 if isinstance(n, (ast.Tuple, ast.List)) and isinstance(n.ctx, ast.Load) and len(n.elts) > MAX_DISPLAY]
         assert long == [], f"{path.name} builds displays through a list: {long}"
+
+
+# The one run-time range check in generated code: a reduction's top limb, the
+# only limb it does not mask, passes through bytes(), which raises ValueError
+# outside [0, 256) in every mode.  Every other limb's range rests on the
+# proofs, so no other kernel may name bytes.
+TOP_CHECK = "bytes(((c >> 8) + (t & 127),))[0]"
+
+
+def test_the_only_bytes_call_is_each_reductions_top_limb_check():
+    found = {}
+    for text in render().values():
+        for fn in ast.parse(text).body:
+            if isinstance(fn, ast.FunctionDef):
+                uses = [n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == "bytes"]
+                last = fn.body[-1].value
+                while isinstance(last, ast.BinOp):  # displays joined by +
+                    last = last.right
+                found[fn.name] = (len(uses), isinstance(last, ast.Tuple) and ast.unparse(last.elts[-1]) == TOP_CHECK)
+    assert set(REDUCTIONS) <= found.keys()
+    # (names of bytes, the returned display ends in the check), by kernel
+    assert found == {name: (1, True) if name in REDUCTIONS else (0, False) for name in found}, found
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -139,7 +161,7 @@ def test_mul16_column_bounds_for_all_inputs():
     # returns W - p: congruent, but not the exact fold
     ("add_mod", [("19*(t >> 7)", "19*(t >> 7) + 19"), ("(t & 127)", "(t & 127) - 128")], "not V - p"),
     # pack's check as an assert, which a comparison guard sees and python -O drops
-    ("pack", [("return a[:31] + bytes((a[31] + 256 * (1 - subp(a)[1]),))",
+    ("pack", [("return bytes(a[:31] + (a[31] + 256 * (1 - subp(a)[1]),))",
                "assert subp(a)[1] == 1, 'pack requires a frozen (canonical) element'\n    return bytes(a)")],
      "a comparison reads"),
     ("pack", [("256 * (1 - subp(a)[1])", "256 * subp(a)[1]")], "not a's limbs"),  # the borrow's sense reversed

@@ -20,7 +20,7 @@ def test_layer_is_proved_for_all_inputs(name):
     assert Sym.log is None  # the proof keeps none of the values it built
 
 
-class _Opaque(bytes):
+class _Opaque(tuple):
     def __bool__(self):
         raise TypeError("control flow depends on field data")
 
@@ -28,8 +28,8 @@ class _Opaque(bytes):
 def test_one_scalarmult_makes_the_ledgers_calls():
     """Count one scalarmult's calls on kernels that return a zero whose
     __bool__ raises.  subp's borrow is 1, as for every frozen value (the
-    freeze proof)."""
-    counts, stack, zero = collections.Counter(), [], _Opaque(32)
+    freeze proof).  scalarmult itself takes 32-byte strings."""
+    counts, stack, zero = collections.Counter(), [], _Opaque((0,) * 32)
 
     def counted(layer, namespace):
         namespace.update((f, _counting(counts, f"{layer}.{f}", namespace[f], stack)) for f in TRACED[layer])
@@ -39,5 +39,5 @@ def test_one_scalarmult_makes_the_ledgers_calls():
     kernels = counted("mp_arith", {**kernels, "subp": lambda a: (zero, 1)})
     fe = counted("fe25519", _run(sources()["fe25519.py"], "fe25519.py", **kernels))
     ladder = _run(sources()["ladder.py"], "ladder.py", **fe, fe25519=types.SimpleNamespace(**fe))
-    counted("ladder", ladder)["scalarmult"](zero, zero)
+    counted("ladder", ladder)["scalarmult"](bytes(32), bytes(32))
     assert {name: counts[name] for name in dh_ledger(0)} == dh_ledger(0)

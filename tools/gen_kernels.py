@@ -11,14 +11,17 @@ Every kernel of mp_arith is written here, spelled out without loops so that
 CPython runs it as a few bytecodes and nothing else.  mp_arith re-exports
 each one under its own name with no wrapper frame, so each carries a
 one-line docstring and its fixed-width unpack is the length check: a wrong
-length raises ValueError in every mode.  A carry display is the bytes() of
-the entries `(c := (c >> 8) + col) & 255`, a carry pass over the columns col
-from the bottom up.  Every display of more than MAX_DISPLAY = 30 entries is
-written as tuples of at most 30 entries joined by `+`, the same entries in
-the same order: CPython 3.11 compiles a display of up to 30 entries to one
-BUILD_TUPLE on the stack, but a longer one to BUILD_LIST, one LIST_APPEND
-per entry and LIST_TO_TUPLE.  The walrus carry still runs left to right
-across the joins.  Four modules are written.
+length raises ValueError in every mode.  Every kernel returns its limbs as a
+tuple of ints, and takes any sequence of them, a bytes included: CPython
+3.11 unpacks a tuple on its specialized path, but never specializes a call
+of bytes() or the unpack of a bytes.  A carry display is the tuple display
+of the entries `(c := (c >> 8) + col) & 255`, a carry pass over the columns
+col from the bottom up.  Every display of more than MAX_DISPLAY = 30
+entries is written as tuples of at most 30 entries joined by `+`, the same
+entries in the same order: CPython 3.11 compiles a display of up to 30
+entries to one BUILD_TUPLE on the stack, but a longer one to BUILD_LIST,
+one LIST_APPEND per entry and LIST_TO_TUPLE.  The walrus carry still runs
+left to right across the joins.  Four modules are written.
 
 _kernels.py, product scanning with one additive Karatsuba level in each of
 its two functions:
@@ -59,11 +62,14 @@ mod p) and carries the columns once, in the same carry display that ends
 mul256 and sqr256, with t & 127 added to the unmasked top limb.  For the
 column total V it returns exactly W = V - p*(t >> 7), the same residue, an
 identity for integer columns of any sign: tests/_proof.py proves it for each
-reduction, mul121666 for the t it computes.  bytes() raises ValueError, in
-every mode, when W falls outside [0, 2^256).  Columns may be negative or
-exceed a byte.  For byte inputs the carry into the top limb is at most 39
-(red512), 2 (add_mod), 5 (sub_mod) and 1 (mul121666), so W < 2p and one
-conditional subtraction canonicalizes.
+reduction, mul121666 for the t it computes.  Every limb but the top one is
+masked to a byte, and the top limb passes through TOP_CHECK, the only
+bytes() call in generated code: bytes() raises ValueError in the
+reduction's own frame, in every mode and with no branch, when the top limb,
+and so W, falls outside [0, 2^256).  Columns may be negative or exceed a
+byte.  For byte inputs the carry into the top limb is at most 39 (red512),
+2 (add_mod), 5 (sub_mod) and 1 (mul121666), so W < 2p and one conditional
+subtraction canonicalizes.
 
   red512(m)         column k is m[k] + 38*m[k+32]: 64 columns, the high half
                     folded in as 38 (2^256 = 38 mod p).
@@ -81,9 +87,13 @@ conditional subtraction canonicalizes.
   cmov(a, b, c)     a[k]*n + b[k]*c for n = 1 - c: a when c = 0, b when c = 1.
 
 No linear kernel calls red512, so red512 counts only reductions of
-products.  No generated function contains an assert or any other branch,
-and none holds a fault hook (packed25519.faults rebinds names from
-outside): tests/test_gen_kernels.py rejects every branch node.
+products.  No other kernel checks a limb at run time: the masked limbs, the
+top limb c >> 8 of mul256 and sqr256, and every limb of subp and cmov are
+bytes for byte inputs by tests/_proof.py alone, and fe25519.pack's bytes()
+checks all 32 limbs of X25519's output.  No generated function contains an
+assert or any other branch, and none holds a fault hook (packed25519.faults
+rebinds names from outside): tests/test_gen_kernels.py rejects every branch
+node.
 
 tests/_proof.py proves every claim above for all byte inputs: it runs
 render()'s text on values that are at once polynomials over atoms and
@@ -115,6 +125,9 @@ P = 2**255 - 19
 P_LIMBS = P.to_bytes(LIMBS, "little")
 FOURP = tuple(4 * x for x in P_LIMBS)  # 4p as 32 columns, for sub_mod
 MAX_DISPLAY = 30  # entries CPython 3.11 builds on the stack, not through a list
+# The range check on a reduction's unmasked top limb: bytes() raises ValueError
+# outside [0, 256), in every mode, with no branch.
+TOP_CHECK = "bytes(((c >> 8) + (t & 127),))[0]"
 
 Col = Callable[[int], str]
 
@@ -180,11 +193,9 @@ def _carry(cols: List[str]) -> List[str]:
     return [f"(c := {col if k == 0 else f'(c >> 8) + {col}'}) & 255" for k, col in enumerate(cols)]
 
 
-def _carry_bytes(cols: List[str], last: str) -> List[str]:
-    """The `return` of one carry pass over the columns, as the bytes() of one
-    display; the top limb `last` is unmasked, so bytes() rejects it outside
-    [0, 256)."""
-    return ["    return bytes(("] + _display(_carry(cols) + [last]) + ["    ))"]
+def _return(entries: List[str], tail: str = "") -> List[str]:
+    """The `return` of one display of the entries, then `tail`."""
+    return ["    return ("] + _display(entries) + [f"    ){tail}"]
 
 
 def _mul16() -> List[str]:
@@ -196,7 +207,7 @@ def _mul16() -> List[str]:
     lines += [f"    l{k} = {_mul_col('a', 'b', k, H)}" for k in range(2 * H - 1)]
     lines += [f"    h{k} = {_mul_col('a', 'b', k, H, H)}" for k in range(2 * H - 1)]
     cols = _karatsuba(H, lambda j: f"l{j}", lambda j: _mul_col("u", "v", j, H), lambda j: f"h{j}")
-    return lines + ["    return ("] + _display(cols) + ["    )"]
+    return lines + _return(cols)
 
 
 def _mul256() -> List[str]:
@@ -207,8 +218,8 @@ def _mul256() -> List[str]:
                         ("s", sums_a, sums_b),
                         ("h", _names("a", N, N), _names("b", N, N))):
         lines.append(f"    {_names(block, 2 * N - 1)} = mul16(({x}), ({y}))")
-    lines += _carry_bytes(_karatsuba(N, lambda j: f"l{j}", lambda j: f"s{j}", lambda j: f"h{j}"),
-                          "c >> 8")
+    lines += _return(_carry(_karatsuba(N, lambda j: f"l{j}", lambda j: f"s{j}", lambda j: f"h{j}"))
+                     + ["c >> 8"])
     return lines
 
 
@@ -218,8 +229,8 @@ def _sqr256() -> List[str]:
     lines += _doubled("a", N) + _doubled("a", N, N) + _doubled("t", N)
     lines += [f"    l{k} = {_sqr_col('a', k, N)}" for k in range(2 * N - 1)]
     lines += [f"    h{k} = {_sqr_col('a', k, N, N)}" for k in range(2 * N - 1)]
-    lines += _carry_bytes(_karatsuba(N, lambda j: f"l{j}", lambda j: _sqr_col("t", j, N),
-                                     lambda j: f"h{j}"), "c >> 8")
+    lines += _return(_carry(_karatsuba(N, lambda j: f"l{j}", lambda j: _sqr_col("t", j, N),
+                                       lambda j: f"h{j}")) + ["c >> 8"])
     return lines
 
 
@@ -228,8 +239,8 @@ def _red(head: List[str], col: Col) -> List[str]:
     carry pass: bits 7 and up of the top column t are folded into column 0
     as 19 before the carry, and bits 0..6 of t join the unmasked top limb."""
     return (head + [f"    t = {col(LIMBS - 1)}"]
-            + _carry_bytes([f"{col(0)} + 19*(t >> 7)"] + [col(k) for k in range(1, LIMBS - 1)],
-                           "(c >> 8) + (t & 127)"))
+            + _return(_carry([f"{col(0)} + 19*(t >> 7)"] + [col(k) for k in range(1, LIMBS - 1)])
+                      + [TOP_CHECK]))
 
 
 def _mul121666() -> List[str]:
@@ -243,14 +254,12 @@ def _mul121666() -> List[str]:
 
 def _subp() -> List[str]:
     return (_head("subp(a)", "(a - p) mod 2^256 together with the borrow flag (1 iff a < p).", "a")
-            + ["    return bytes(("] + _display(_carry([f"a{k} - {P_LIMBS[k]}" for k in range(LIMBS)]))
-            + ["    )), -(c >> 8)"])
+            + _return(_carry([f"a{k} - {P_LIMBS[k]}" for k in range(LIMBS)]), ", -(c >> 8)"))
 
 
 def _cmov() -> List[str]:
     return (_head("cmov(a, b, c)", "a when c = 0, b when c = 1, as a*(1 - c) + b*c (no branch on c).", "ab")
-            + ["    n = 1 - c", "    return bytes(("]
-            + _display([f"a{k}*n + b{k}*c" for k in range(LIMBS)]) + ["    ))"])
+            + ["    n = 1 - c"] + _return([f"a{k}*n + b{k}*c" for k in range(LIMBS)]))
 
 
 def _module(title: str, blocks: List[List[str]]) -> str:
