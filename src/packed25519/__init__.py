@@ -18,11 +18,9 @@ __all__ = [
     "BASE_POINT_U",
     "clamp",
     "cswap",
-    "difftest",
     "fe25519",
     "ladderstep",
     "mladder",
     "mp_arith",
-    "oracle",
     "scalarmult",
 ]

@@ -1,6 +1,6 @@
 """The differential checks below the ladder, and the edge-value corpus:
 
-  mp          mul256/sqr256/subp/red512/add_mod/sub_mod vs. big integers
+  mp          mul256/sqr256/subp/add_mod/sub_mod vs. big integers
   fe          field-layer congruences, ranges, freeze/cmov/pack/unpack/invert
   findings    red512 lands below 2p and one conditional subtraction freezes
 
@@ -62,28 +62,27 @@ def _check_mp_pair(t, a: bytes, b: bytes) -> None:
     _cong(t, "sub_mod", mp_arith.sub_mod(a, b), ia - ib, a=a, b=b)
 
 
-def _check_mp_unary(t, a: bytes, m: bytes) -> None:
+def _check_mp_unary(t, a: bytes) -> None:
     ia = _int(a)
     gsq = mp_arith.sqr256(a)
-    t.check(_int(gsq) == ia * ia and gsq == mp_arith.mul256(a, a),
+    t.check(_int(gsq) == ia * ia,
             lambda: f"{t.at} sqr256 a={_hex(a)} got={_hex(gsq)}")
     d, borrow = mp_arith.subp(a)
     t.check(_int(d) == (ia - P) % 2**256 and borrow == (1 if ia < P else 0),
             lambda: f"{t.at} subp a={_hex(a)} got={_hex(d)} borrow={borrow}")
-    _cong(t, "red512", mp_arith.red512(m), _int(m), m=m)
 
 
 def mp_edges(t) -> None:
     for x in EDGES_256:
         for y in EDGES_256:
             _check_mp_pair(t, _le(x), _le(y))
-        _check_mp_unary(t, _le(x), _le(x, 64))
+        _check_mp_unary(t, _le(x))
 
 
 def mp_trial(t, st, k: int) -> None:
     a = st.u256()
     _check_mp_pair(t, a, st.u256())
-    _check_mp_unary(t, a, st.u512())
+    _check_mp_unary(t, a)
 
 
 # ---------------------------------------------------------------- fe suite
@@ -114,12 +113,11 @@ def fe_edges(t) -> None:
         for y in (0, 1, P - 1, P, 2 * P - 1, 2**256 - 1):
             _check_fe_pair(t, _le(x), _le(y))
         _check_fe_unary(t, _le(x))
-    zero, one = fe25519.setzero(), fe25519.setone()
+    zero = fe25519.setzero()
     t.check(fe25519.invert(zero) == zero, lambda: "invert(0) != 0")
     inv2 = fe25519.freeze(fe25519.invert(_le(2)))
     t.check(_int(inv2) == 2**254 - 9,
             lambda: f"invert(2) got={_hex(inv2)}")
-    t.check(fe25519.freeze(one) == one, lambda: "freeze(1) != 1")
 
 
 def fe_trial(t, st, k: int) -> None:

@@ -2,7 +2,7 @@
 
 Six suites, each a pair of check functions driven by `run_suite`:
 
-  mp          mul256/sqr256/subp/red512/add_mod/sub_mod vs. big integers
+  mp          mul256/sqr256/subp/add_mod/sub_mod vs. big integers
   fe          field-layer congruences, ranges, freeze/cmov/pack/unpack/invert
   ladderstep  the 18-step ladder iteration vs. the doubling/addition formulas
   mladder     full ladders vs. the recursive oracle, componentwise

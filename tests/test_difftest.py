@@ -143,6 +143,24 @@ def test_edges_check_each_value_once(monkeypatch, module, name, suite):
     assert len(calls) == len(EDGES_256) + 1
 
 
+def test_mp_leaves_red512_to_findings_and_squares_without_mul256(monkeypatch):
+    # mul256 once per pair, sqr256 without a second mul256(a, a), and no
+    # red512: the findings suite checks it on a superset of the edges
+    calls = {"mul256": 0, "red512": 0}
+
+    def counting(name, kernel):
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(mp_arith, name, counting(name, getattr(mp_arith, name)))
+    report = run_suite(TrialConfig(trials=1, suites=("mp",)))
+    assert report.ok
+    assert calls == {"mul256": len(EDGES_256) ** 2 + 1, "red512": 0}
+
+
 def test_an_exception_in_a_suite_is_a_failed_check(monkeypatch):
     # a red512 that hands the generated one a column no byte input gives, so
     # that the kernel's own overflow check, bytes()'s range check, fires
@@ -239,7 +257,8 @@ def test_importing_the_package_loads_only_the_arithmetic():
             "packed25519._field_suites", "packed25519.oracle", "packed25519.faults",
             "packed25519.cli"}
     s, u, want = difftest.RFC7748_VECTORS[0]
-    code = (f"import sys, packed25519; print(sorted({lazy!r} & set(sys.modules)))\n"
+    code = (f"import sys; from packed25519 import *; print(sorted({lazy!r} & set(sys.modules)))\n"
+            "import packed25519\n"
             f"print(packed25519.scalarmult(bytes.fromhex({s!r}), bytes.fromhex({u!r})).hex())\n"
             "from packed25519 import faults; print(faults.ACTIVE == frozenset())\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -73,7 +73,7 @@ def bench(pairs, monkeypatch):
         result = _result(True)
 
     def fake_run(cmd, **kwargs):
-        Bench.calls.append(kwargs)
+        Bench.calls.append(dict(kwargs, cmd=cmd))
         out = '# details: {"prechecks_failed": ["the RFC vector"]}\n' + json.dumps(Bench.result)
         return subprocess.CompletedProcess(cmd, 0, out + "\n", "")
     monkeypatch.setattr(pairs.subprocess, "run", fake_run)
@@ -81,7 +81,7 @@ def bench(pairs, monkeypatch):
 
 
 def test_every_run_writes_no_bytecode_cache(pairs, bench, tmp_path):
-    assert pairs.run(tmp_path, "dh", 301) == _result(True)
+    assert pairs.run(tmp_path, "dh", 301, 45) == _result(True)
     assert bench.calls[0]["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
     assert bench.calls[0]["cwd"] == tmp_path
 
@@ -90,7 +90,7 @@ def test_a_result_that_is_not_correct_stops_the_tool(pairs, bench, tmp_path):
     # a failed precheck: no operation failed, but the run is not correct
     bench.result = _result(False, failed=0)
     with pytest.raises(SystemExit, match="not correct .failed 0 of 40.\n# details: .*RFC vector"):
-        pairs.run(tmp_path, "dh", 301)
+        pairs.run(tmp_path, "dh", 301, 45)
 
 
 def test_a_bytecode_cache_on_either_side_is_refused_before_any_run(pairs, bench, tmp_path):
@@ -108,3 +108,21 @@ def test_a_bytecode_cache_on_either_side_is_refused_before_any_run(pairs, bench,
     assert str(a / "perfbench" / "__pycache__") in str(stop.value)
     assert str(b / "src" / "packed25519" / "__pycache__") in str(stop.value)
     assert bench.calls == []
+
+
+def test_workloads_run_length_and_metrics_come_from_the_benchmark(pairs, bench, tmp_path,
+                                                                  monkeypatch, capsys):
+    # a BENCHMARK.json that declares other values than the repository's
+    declared = {"run_seconds": 7, "workloads": [{"name": "other"}],
+                "end_to_end": [{"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+                                "bound": 0.1}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    seeds = [*map(str, range(301, 311))]
+    with pytest.raises(SystemExit) as stop:
+        pairs.main([str(tmp_path), str(tmp_path), "--workload", "dh", "--seeds", *seeds])
+    assert stop.value.code == 2  # argparse refuses a workload the file does not declare
+    assert pairs.main([str(tmp_path), str(tmp_path), "--workload", "other", "--seeds", *seeds]) == 0
+    assert len(bench.calls) == 20
+    assert all(c["cmd"][c["cmd"].index("--seconds") + 1] == "7" for c in bench.calls)
+    assert "10 pairs at --seconds 7" in capsys.readouterr().out

@@ -1,11 +1,13 @@
 """Run the pair protocol on two checkouts and print whether a gain may be claimed.
 
-    python3 tools/pairs.py CHECKOUT_A CHECKOUT_B --workload dh|selftest --seeds S1 ... S10
+    python3 tools/pairs.py CHECKOUT_A CHECKOUT_B --workload W --seeds S1 ... S10
 
 CHECKOUT_A is the parent, CHECKOUT_B the change.  Pair i runs
-`perfbench/run.py --workload W --seed Si --seconds 45` in each checkout, A
+`perfbench/run.py --workload W --seed Si --seconds T` in each checkout, A
 first in even pairs and B first in odd ones, so that drift of the machine's
-speed does not favour one side.  Each run is printed as it ends.
+speed does not favour one side.  Each run is printed as it ends.  The
+workloads W, the run length T (`run_seconds`) and the metrics come from
+this repository's BENCHMARK.json, so the tool runs what the benchmark runs.
 
 Then, for every end-to-end metric of BENCHMARK.json, one row gives each
 side's median with its quartiles, the pairs B won (ties count for neither),
@@ -36,7 +38,6 @@ from typing import Dict, List, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
-SECONDS = 45
 
 
 class Verdict(NamedTuple):
@@ -70,10 +71,10 @@ def bytecode_caches(checkout: Path) -> List[Path]:
                   for path in (checkout / top).rglob("__pycache__"))
 
 
-def run(checkout: Path, workload: str, seed: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result object of one benchmark run in `checkout`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(SECONDS)]
+           "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = proc.stdout.strip().splitlines()
@@ -87,10 +88,13 @@ def run(checkout: Path, workload: str, seed: int) -> dict:
 
 
 def main(argv: List[str]) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("checkout_a", type=Path, help="the parent checkout")
     p.add_argument("checkout_b", type=Path, help="the change's checkout")
-    p.add_argument("--workload", choices=("dh", "selftest"), required=True)
+    p.add_argument("--workload", choices=[w["name"] for w in benchmark["workloads"]],
+                   required=True)
     p.add_argument("--seeds", type=int, nargs=PAIRS, required=True, metavar="SEED")
     args = p.parse_args(argv)
     caches = bytecode_caches(args.checkout_a) + bytecode_caches(args.checkout_b)
@@ -98,13 +102,13 @@ def main(argv: List[str]) -> int:
         sys.exit("pairs: remove the bytecode caches first, or one side skips the parse "
                  "the benchmark measures:\n" + "\n".join(map(str, caches)))
 
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    end_to_end = benchmark["end_to_end"]
     results: Dict[str, List[dict]] = {"A": [], "B": []}
     for i, seed in enumerate(args.seeds):
         order = ("A", "B") if i % 2 == 0 else ("B", "A")
         for side in order:
             checkout = args.checkout_a if side == "A" else args.checkout_b
-            res = run(checkout, args.workload, seed)
+            res = run(checkout, args.workload, seed, seconds)
             results[side].append(res)
             values = " ".join(f"{m['name']}={res['metrics'][m['name']]['value']:.6g}"
                               for m in end_to_end)
@@ -113,7 +117,7 @@ def main(argv: List[str]) -> int:
 
     share = {side: sum(r["failed"] for r in rs) / sum(r["attempted"] for r in rs)
              for side, rs in results.items()}
-    print(f"\n{args.workload}, {PAIRS} pairs at --seconds {SECONDS}, seeds {args.seeds}; "
+    print(f"\n{args.workload}, {PAIRS} pairs at --seconds {seconds}, seeds {args.seeds}; "
           f"failed share A {share['A']:.3g}, B {share['B']:.3g}")
     print("| metric | A median [q1–q3] | B median [q1–q3] | B better in | B vs A | bound | verdict |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
