@@ -34,13 +34,23 @@ def _le(v: int, n: int = 32) -> bytes:
     return v.to_bytes(n, "little")
 
 
-def _int(limbs: Sequence[int]) -> int:
-    return int.from_bytes(limbs, "little")
+def _int(limbs: Sequence[int]) -> float:
+    """The value of byte limbs.  A result with a limb outside [0, 256) has
+    NaN, which no check's value equals, so the check that reads it fails and
+    prints the limbs instead of ending its suite."""
+    try:
+        return int.from_bytes(limbs, "little")
+    except ValueError:
+        return float("nan")
 
 
 def _hex(limbs: Sequence[int]) -> str:
-    """Limbs as a counterexample prints them, whatever their container."""
-    return bytes(limbs).hex()
+    """Limbs as a counterexample prints them, whatever their container: hex
+    bytes, or the limbs in decimal when one is not a byte."""
+    try:
+        return bytes(limbs).hex()
+    except ValueError:
+        return f"({','.join(map(str, limbs))})"
 
 
 def _cong(t, name: str, got: Sequence[int], want: int, **operands: bytes) -> Sequence[int]:

@@ -49,6 +49,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
               f"{res.elapsed_s:8.3f}s {res.checks_per_s:9.0f} checks/s")
         if res.counterexample is not None:
             print(f"  first counterexample: {res.counterexample}")
+        if res.stopped is not None:
+            print(f"  stopped: {res.stopped}")
     status = "PASS" if report.ok else "FAIL"
     print(f"selftest seed={report.seed} trials={report.trials}: {status} "
           f"({len(report.suites)} suites, {report.failures} failures, "

@@ -25,7 +25,8 @@ lowest trial index).  Fixed edge-case checks run before trial 0.
 
 A report with failures == 0 is a pass; the first failing check per suite is
 captured as a hex counterexample string.  An exception raised inside a suite
-counts as one failing check and ends that suite.
+counts as one failing check and ends that suite, which records where it
+stopped.
 """
 
 import hashlib
@@ -160,13 +161,14 @@ class TrialConfig(NamedTuple):
 
 class SuiteResult:
     """A suite's tally: checks run, failures, the first failure's text, the
-    suite's wall time and the tag (`edge` or `trial=K`) of the check in
-    progress."""
+    text of the exception that stopped the suite, if one did, the suite's
+    wall time and the tag (`edge` or `trial=K`) of the check in progress."""
 
     def __init__(self) -> None:
         self.cases = 0
         self.failures = 0
         self.counterexample: Optional[str] = None
+        self.stopped: Optional[str] = None
         self.elapsed_s = 0.0
         self.at = "edge"
 
@@ -225,6 +227,7 @@ class TrialReport(NamedTuple):
                     "counterexample": s.counterexample,
                     "elapsed_s": s.elapsed_s,
                     "checks_per_s": s.checks_per_s,
+                    **({"stopped": s.stopped} if s.stopped else {}),
                 }
                 for name, s in self.suites.items()
             },
@@ -244,9 +247,10 @@ def run_suite(cfg: TrialConfig) -> TrialReport:
     `_Stream(cfg.seed, name, k)`, for k below `cfg.trials`.  Configuration
     problems (a bad trial count or seed, an unknown or empty suite list)
     raise ValueError before anything runs.  An exception raised by the code
-    under test is one failed check of its suite, whose counterexample names
-    the suite, the exception, the function that raised it and the check in
-    progress; that suite stops there, and the others still run.
+    under test is one failed check of its suite.  Its text, which names the
+    suite, the exception, the function that raised it and the check in
+    progress, is the suite's `stopped`, and its counterexample if no check
+    failed before; that suite stops there, and the others still run.
     """
     if type(cfg.trials) is not int or cfg.trials < 1:
         raise ValueError(f"trials must be a positive integer, got {cfg.trials!r}")
@@ -273,8 +277,8 @@ def run_suite(cfg: TrialConfig) -> TrialReport:
         except Exception as exc:
             import traceback  # here, so that only a run that raises loads it
             fn = traceback.extract_tb(exc.__traceback__)[-1].name
-            res.check(False, lambda: f"{name} raised {type(exc).__name__}: {exc} "
-                                     f"(in {fn}) at {res.at}")
+            res.stopped = f"{name} raised {type(exc).__name__}: {exc} (in {fn}) at {res.at}"
+            res.check(False, lambda: res.stopped)
         res.elapsed_s = time.perf_counter() - t0
     return TrialReport(cfg.seed, cfg.trials, results,
                        time.perf_counter() - started)

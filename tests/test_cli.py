@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -116,26 +114,16 @@ def test_selftest_detects_injected_fault(capsys):
     assert "counterexample" in out
 
 
-def test_optimized_mode_gives_the_same_outputs(tmp_path):
-    """python -O runs the same code: selftest's report, with no fault and
-    under the cmov fault, the RFC 7748 vectors and iterate 1 equal the
-    default mode's, apart from timings."""
-    def untimed(path):
-        report = json.loads(path.read_text())
-        del report["elapsed_s"]
-        for res in report["suites"].values():
-            del res["elapsed_s"], res["checks_per_s"]
-        return report
-
-    def outputs(*flags):
-        paths = [tmp_path / f"report{len(flags)}{fault}.json" for fault in ("", "cmov")]
-        clean, cmov = (["selftest", "--seed", "1", "--trials", "3", "--json", str(path)] for path in paths)
-        script = (f"from packed25519 import faults\nfrom packed25519.cli import main\nmain({clean!r})\n"
-                  f"with faults.inject('cmov'):\n    main({cmov!r})\n") + "".join(
-            f"main({argv!r})\n" for argv in [
-                *(["scalarmult", s, u] for s, u, _ in RFC7748_VECTORS), ["iterate", "1"]])
-        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        return [*map(untimed, paths)], proc.stdout.splitlines()[-len(RFC7748_VECTORS) - 1:]
-
-    assert outputs("-O") == outputs()
+def test_selftest_reports_where_a_suite_stopped(tmp_path, capsys):
+    # under the cmov fault, fe's first failure is freeze's; pack then raises
+    # on the non-canonical value that freeze returned, and fe stops there
+    path = tmp_path / "report.json"
+    with faults.inject("cmov"):
+        code, out, _ = run(capsys, "selftest", "--trials", "1", "--suites", "fe,mp", "--json", str(path))
+    stop = "fe raised ValueError: bytes must be in range(0, 256) (in pack) at edge"
+    assert code == 1
+    assert f"  stopped: {stop}" in out.splitlines()
+    suites = json.loads(path.read_text())["suites"]
+    assert suites["fe"]["stopped"] == stop
+    assert suites["fe"]["counterexample"].startswith("edge freeze r=")
+    assert suites["mp"]["failures"] == 0 and "stopped" not in suites["mp"]

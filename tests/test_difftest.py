@@ -172,6 +172,7 @@ def test_an_exception_in_a_suite_is_a_failed_check(monkeypatch):
     assert (res.cases, res.failures) == (1, 1)
     assert res.counterexample == ("findings raised ValueError: bytes must be in range(0, 256) "
                                   "(in red512) at edge")
+    assert res.stopped == res.counterexample
     # the other suites still run
     assert report.suites["ladderstep"].cases > 0 and report.suites["ladderstep"].failures == 0
 
@@ -190,6 +191,24 @@ def test_an_exception_in_a_trial_names_the_trial(monkeypatch):
     res = run_suite(TrialConfig(trials=3, suites=("findings",))).suites["findings"]
     assert (res.cases, res.failures) == (57, 1)
     assert res.counterexample.endswith("(in red512) at trial=0")
+
+
+def test_a_result_limb_outside_a_byte_fails_its_check(monkeypatch):
+    # mul256's product, of the right value, with limb 0 above a byte and limb 1
+    # below: its check fails and prints it, and the suite runs to its end
+    kernel = mp_arith.mul256
+
+    def mul256(a, b):
+        r = kernel(a, b)
+        return (r[0] + 256, r[1] - 1) + r[2:]
+
+    monkeypatch.setattr(mp_arith, "mul256", mul256)
+    res = run_suite(TrialConfig(seed=1, trials=20, suites=("mp",))).suites["mp"]
+    pairs, values = len(EDGES_256) ** 2 + 20, len(EDGES_256) + 20
+    # three checks per pair (mul256, add_mod, sub_mod) and two per value (sqr256, subp)
+    assert (res.cases, res.failures) == (3 * pairs + 2 * values, pairs)
+    assert res.counterexample == f"edge mul256 a={'00' * 32} b={'00' * 32} got=(256,-1{',0' * 62})"
+    assert res.stopped is None
 
 
 def test_faults_reject_unknown_names():

@@ -1,12 +1,14 @@
 """The committed kernel modules are exactly what tools/gen_kernels.py emits,
 straight-line and within the parser's budget, and every package module is
-within its compile budget.  One table of mutants shows that each proof of
-tests/_proof.py, the layers' included, can fail; test_layer_proofs.py runs
-every proof on the committed code."""
+within its compile budget and compiles to the same code under python -O.
+One table of mutants shows that each proof of tests/_proof.py, the layers'
+included, can fail; test_layer_proofs.py runs every proof on the committed
+code."""
 
 import ast
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -93,13 +95,36 @@ def test_every_package_module_is_within_the_compile_budget(path):
     assert peak <= COMPILE_PEAK_BUDGET, f"{path.name} peaks at {peak / 1024:.0f} KB in compile"
 
 
-def test_no_package_module_asserts_or_reads_debug():
-    """python -O compiles the same code as the default mode: it drops only
-    asserts and the branches on __debug__."""
+def _where_O_differs(text, name):
+    """None when python -O compiles text to the code the default mode does,
+    else the first function whose own code differs.  optimize=1 is what -O
+    uses on import: it drops asserts and reads __debug__ as False."""
+    plain, optimized = (compile(text, name, "exec", dont_inherit=True, optimize=level) for level in (0, 1))
+    if plain == optimized:  # code objects compare their nested functions' code through co_consts
+        return None
+    while True:
+        nested = [(a, b) for a, b in zip(plain.co_consts, optimized.co_consts)
+                  if isinstance(a, types.CodeType) and a != b]
+        if not nested:
+            return f"{plain.co_qualname} at line {plain.co_firstlineno}"
+        plain, optimized = nested[0]
+
+
+def test_python_O_compiles_every_package_module_to_the_same_code():
+    """So every check the package makes, its input contracts included, holds
+    under python -O as the default-mode tests show."""
     for path in sorted(PACKAGE.glob("*.py")):
-        found = [f"line {n.lineno}" for n in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(n, ast.Assert) or isinstance(n, ast.Name) and n.id == "__debug__"]
-        assert found == [], f"{path.name} asserts or reads __debug__ at {found}"
+        where = _where_O_differs(path.read_text(), path.name)
+        assert where is None, f"-O compiles {path.name} differently, first in {where}"
+    # negative controls: an assert in a function, a read of __debug__, an
+    # assert in a nested function
+    fe = (PACKAGE / "fe25519.py").read_text()
+    pack = "    return bytes(a[:31] + (a[31] + 256 * (1 - subp(a)[1]),))"
+    assert fe.count(pack) == 1
+    assert _where_O_differs(fe.replace(pack, "    assert len(a) == 32\n" + pack), "fe25519.py").startswith("pack at")
+    assert _where_O_differs("CHECKED = __debug__\n", "debug.py") == "<module> at line 1"
+    nested = "def outer():\n    def inner(x):\n        assert x\n        return x\n    return inner\n"
+    assert _where_O_differs(nested, "nested.py") == "outer.<locals>.inner at line 2"
 
 
 def test_a_shift_is_exact_only_on_distinct_bit_places():
