@@ -10,6 +10,7 @@ Exit status: 0 on success, 1 when a selftest finds a property violation,
 """
 
 import argparse
+import json
 import string
 import sys
 from typing import List, Optional
@@ -57,7 +58,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
           f"{report.elapsed_s:.1f}s)")
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0 if report.ok else 1
 
 

@@ -3,7 +3,7 @@
 Six suites, each a pair of check functions driven by `run_suite`:
 
   mp          mul256/sqr256/subp/add_mod/sub_mod vs. big integers
-  fe          field-layer congruences, ranges, freeze/cmov/pack/unpack/invert
+  fe          mul/square/mul121666 congruences and ranges, freeze/cmov/pack/unpack/invert
   ladderstep  the 18-step ladder iteration vs. the doubling/addition formulas
   mladder     full ladders vs. the recursive oracle, componentwise
   scalarmult  the byte-level pipeline vs. oracle.x25519 on integers
@@ -30,7 +30,6 @@ stopped.
 """
 
 import hashlib
-import json
 import time
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -235,9 +234,6 @@ class TrialReport(NamedTuple):
             "ok": self.ok,
             "elapsed_s": self.elapsed_s,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def run_suite(cfg: TrialConfig) -> TrialReport:

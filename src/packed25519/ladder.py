@@ -13,8 +13,8 @@ the point at infinity.
 
 from typing import Tuple
 
-from . import fe25519
-from .fe25519 import FieldElem, add, cmov, freeze, invert, mul, mul121666, pack, square, sub, unpack
+from .fe25519 import (FieldElem, add, cmov, freeze, invert, mul, mul121666, pack, setone, setzero,
+                      square, sub, unpack)
 
 Ratio = Tuple[FieldElem, FieldElem]
 
@@ -93,8 +93,8 @@ def mladder(n: int, xp: FieldElem) -> Ratio:
     """
     if n >> 254 != 1:
         raise ValueError("mladder requires bit 254 set and bit 255 clear")
-    r0: Ratio = (fe25519.setone(), fe25519.setzero())
-    r1: Ratio = (xp, fe25519.setone())
+    r0: Ratio = (setone(), setzero())
+    r1: Ratio = (xp, setone())
     prev = 0
     for i in range(254, -1, -1):
         bit = (n >> i) & 1

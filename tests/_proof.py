@@ -315,8 +315,7 @@ def _fe(text, **kernels):
 def _ladder(text, **fe):
     """ladder.py's namespace on fe25519.py's, with `fe`'s names in place of
     fe25519's."""
-    fe = {**_fe(sources()["fe25519.py"]), **fe}
-    return _run(text, "ladder.py", **fe, fe25519=types.SimpleNamespace(**fe))
+    return _run(text, "ladder.py", **{**_fe(sources()["fe25519.py"]), **fe})
 
 
 def _cswap(text):

@@ -4,7 +4,6 @@ contracts; and the benchmark's ledger as a theorem."""
 
 import collections
 import sys
-import types
 
 import pytest
 
@@ -38,6 +37,6 @@ def test_one_scalarmult_makes_the_ledgers_calls():
     kernels = dict.fromkeys(TRACED["mp_arith"] + ("mul121666", "cmov"), lambda *args: zero)
     kernels = counted("mp_arith", {**kernels, "subp": lambda a: (zero, 1)})
     fe = counted("fe25519", _run(sources()["fe25519.py"], "fe25519.py", **kernels))
-    ladder = _run(sources()["ladder.py"], "ladder.py", **fe, fe25519=types.SimpleNamespace(**fe))
+    ladder = _run(sources()["ladder.py"], "ladder.py", **fe)
     counted("ladder", ladder)["scalarmult"](bytes(32), bytes(32))
     assert {name: counts[name] for name in dh_ledger(0)} == dh_ledger(0)
